@@ -42,7 +42,7 @@ print(f"Greedy dipole reduction: {len(trace.moves)} move(s) "
       f"{trace.moves_text()}, terminal n={trace.terminal.n}")
 
 K = order_complex(G, (1, 2, 3, 4))
-print(f"Order complex: {K.f_counts()} cells per dimension, "
+print(f"Residue complex: {K.f_counts()} cells per dimension, "
       f"chi={K.euler_characteristic()}")
 print(f"Rational Betti numbers: {betti_numbers(K).betti}")
 

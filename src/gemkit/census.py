@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import statistics
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .constructions import SeedLike, _rng, build_manifold, random_construction_params
 from .dipoles import melonic_reduce
-from .errors import BadParams, BudgetExceeded, NotBipartite
+from .errors import BadParams, BudgetExceeded, NotBipartite, RangeError
 from .graph import (
     ColourfulGraph,
     complex_vertex_count,
@@ -457,8 +458,8 @@ def vn_experiment(
     odd), so the per-row cycle mean over those pairs is reported separately
     from the unrestricted-uniform simulation mean that tracks H_k.
     """
-    import numpy as np
-
+    if samples < 1:
+        raise RangeError(f"samples must be >= 1, got {samples}")
     rng = _rng(seed)
     rows = []
     for k in ks:
@@ -471,18 +472,23 @@ def vn_experiment(
             cycles_valid.append(
                 count_cycles(compose_inverse(params.sigma, params.tau))
             )
-        arr = np.asarray(vs, dtype=float)
         n = 4 * d * k
+        mean_v = statistics.fmean(vs)
+        # inclusive = linear interpolation between order statistics;
+        # quantiles() needs two points, and one point is its own percentile
+        p90_v = vs[0]
+        if samples > 1:
+            p90_v = statistics.quantiles(vs, n=10, method="inclusive")[8]
         rows.append(
             VnRow(
                 k=k,
                 n=n,
                 samples=samples,
-                mean_v=float(arr.mean()),
-                median_v=float(np.median(arr)),
-                p90_v=float(np.percentile(arr, 90)),
-                mean_v_over_n=float(arr.mean() / n),
-                mean_cycles_valid=float(np.mean(cycles_valid)),
+                mean_v=mean_v,
+                median_v=float(statistics.median(vs)),
+                p90_v=float(p90_v),
+                mean_v_over_n=mean_v / n,
+                mean_cycles_valid=statistics.fmean(cycles_valid),
                 mean_cycles_uniform=mean_cycles_uniform(k, samples, rng),
                 harmonic_k=harmonic_number(k),
                 n_over_log_n=n / math.log(n),

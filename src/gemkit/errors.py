@@ -65,6 +65,10 @@ class BudgetExceeded(GemkitError):
     """Enumeration size exceeds the configured budget."""
 
 
+class InvariantViolated(GemkitError):
+    """An internal consistency check failed: a library bug, not bad input."""
+
+
 class FormatError(GemkitError):
     """CGF parse error; message cites line and token."""
 

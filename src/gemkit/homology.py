@@ -1,24 +1,21 @@
-"""Rational Betti numbers via barycentric order complexes.
+"""Rational Betti numbers of the coloured Δ-complex encoded by G_I.
 
-The complex encoded by G_I is triangulated by its barycentric subdivision,
-whose vertices are the cells of the complex and whose simplices are strict
-chains in the face partial order.  Cells are pairs (S, C): a nonempty colour
-subset S of I together with a component C of the subgraph keeping the
-complementary colours I\\S; the cell's dimension is |S| - 1.  The face order
-is (S1, C1) <= (S2, C2) iff S1 is a subset of S2 and C2's vertex set lies
-inside C1's.  Along a strict chain |S| strictly increases, so the complex
-has dimension |I| - 1.
+The cells of the complex are the residues: a pair (S, C) of a nonempty
+colour subset S of I and a component C of the subgraph keeping the
+complementary colours I\\S is one cell of dimension |S| - 1.  With the
+vertices of every cell ordered by colour, these cells form a Δ-complex:
+the face of (S, C) that drops colour S[p] (S sorted ascending) is
+(S\\{S[p]}, C'), where C' is the component of the residue on
+I\\(S\\{S[p]}) that contains C, and its incidence sign is (-1)^p.  Its
+simplicial homology equals that of the space encoded by G_I (Hatcher,
+Algebraic Topology, §2.1), and it needs one cell per residue, where the
+barycentric subdivision needs about n * |I|! top simplices.
 
-Betti numbers are computed from boundary-matrix ranks.  Ranks are exact:
-sparse elimination over exact rationals (pivots are chosen on unit entries,
-which keeps the arithmetic integral in practice), with an optional mod-p
-fast path (p = 2^31 - 1).  The mod-p path can only overestimate Betti
-numbers, never underestimate them; the default mode runs it first and
-certifies the result exactly (zero entries are forced, b0 is known
-combinatorially, and a single remaining entry is pinned by the Euler
-characteristic), falling back to exact elimination when certification
-fails.  A "No, not a homology sphere" style conclusion therefore never
-rests on modular arithmetic alone.
+Betti numbers are computed from boundary-matrix ranks by exact sparse
+elimination over the rationals (pivots are chosen on unit entries, which
+keeps the arithmetic integral in practice), so no float or modular
+arithmetic is involved.  boundary^2 = 0 and the Euler characteristic are
+checked on every call.
 """
 
 from __future__ import annotations
@@ -27,45 +24,32 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from .errors import InvalidColourSet, RangeError
-from .graph import ColourfulGraph, ColourSet, ColourSetLike, _check_colours, residues
-
-MOD_P = (1 << 31) - 1
+from .errors import InvalidColourSet, InvariantViolated, RangeError
+from .graph import (
+    ColourfulGraph,
+    ColourSet,
+    ColourSetLike,
+    ResiduePartition,
+    _check_colours,
+    residues,
+)
 
 # A sparse column: list of (row index, +-1 incidence sign).
 Column = List[Tuple[int, int]]
 
 
-@dataclass(frozen=True)
-class PosetElement:
-    """One cell of the complex: colour subset bits and one residue component."""
-
-    level: int
-    colour_bits: int
-    component_index: int
-    min_vertex: int
-
-
 class OrderComplex:
-    """Chains-of-cells simplicial complex with its boundary matrices."""
+    """Cell counts per dimension and boundary matrices of a chain complex."""
 
-    def __init__(
-        self,
-        elements: Sequence[PosetElement],
-        simplices: Sequence[Sequence[Tuple[int, ...]]],
-        boundaries: Sequence[Sequence[Column]],
-        n_components: int,
-    ):
-        self.elements = tuple(elements)
-        self.simplices = [list(s) for s in simplices]
+    def __init__(self, f_counts: Sequence[int], boundaries: Sequence[Sequence[Column]]):
+        self._f_counts = tuple(f_counts)
         self._boundaries = [list(b) for b in boundaries]
-        self.n_components = n_components
 
     @property
     def dim(self) -> int:
-        return len(self.simplices) - 1
+        return len(self._f_counts) - 1
 
     def boundary(self, k: int) -> List[Column]:
         """Columns of the boundary map from k-chains to (k-1)-chains."""
@@ -74,98 +58,52 @@ class OrderComplex:
         return self._boundaries[k - 1]
 
     def f_counts(self) -> Tuple[int, ...]:
-        return tuple(len(s) for s in self.simplices)
+        return self._f_counts
 
     def euler_characteristic(self) -> int:
-        return sum((-1) ** k * len(s) for k, s in enumerate(self.simplices))
+        return sum((-1) ** k * f for k, f in enumerate(self._f_counts))
 
 
 def order_complex(G: ColourfulGraph, I: ColourSetLike) -> OrderComplex:
-    """Barycentric order complex of the space encoded by G_I."""
+    """Coloured Δ-complex of the space encoded by G_I, one cell per residue."""
     cs = _check_colours(G, I)
-    size = len(cs)
-    if size < 1:
+    if len(cs) < 1:
         raise InvalidColourSet("order complex needs at least one colour")
     colours = tuple(cs)
-    full_bits = cs.bits
-
-    # partitions[missing_bits] = residue partition of G restricted to missing set
-    partitions = {}
-    elements: List[PosetElement] = []
-    for r in range(1, size + 1):
-        level_elements = []
-        for combo in itertools.combinations(colours, r):
-            s_bits = 0
-            for c in combo:
-                s_bits |= 1 << (c - 1)
-            rest_bits = full_bits & ~s_bits
-            part = residues(G, ColourSet.from_bits(rest_bits))
-            partitions[s_bits] = part
-            for idx, comp in enumerate(part.components):
-                level_elements.append(PosetElement(r, s_bits, idx, comp[0]))
-        level_elements.sort(key=lambda e: (e.min_vertex, e.colour_bits))
-        elements.extend(level_elements)
-
-    index_of = {
-        (e.colour_bits, e.component_index): i for i, e in enumerate(elements)
-    }
-
-    # successors[i] = indices j with element i strictly below element j
-    successors: List[List[int]] = [[] for _ in elements]
-    for j, ej in enumerate(elements):
-        sup_bits = ej.colour_bits
-        rep = ej.min_vertex
-        for i, ei in enumerate(elements):
-            if ei.level >= ej.level:
-                continue
-            if ei.colour_bits & ~sup_bits:
-                continue
-            part = partitions[ei.colour_bits]
-            if part.component_of[rep] == ei.component_index:
-                successors[i].append(j)
-    for lst in successors:
-        lst.sort()
-
-    simplices: List[List[Tuple[int, ...]]] = [[ (i,) for i in range(len(elements)) ]]
-    while True:
-        extended = [
-            chain + (j,)
-            for chain in simplices[-1]
-            for j in successors[chain[-1]]
-        ]
-        if not extended:
-            break
-        extended.sort()
-        simplices.append(extended)
-    assert len(simplices) == size, "maximal chains must use every level once"
-
+    # per colour subset S: the residue partition of I\S and the index of its
+    # first cell among the cells of dimension |S| - 1
+    parts: Dict[int, ResiduePartition] = {}
+    offset: Dict[int, int] = {}
+    f_counts: List[int] = []
     boundaries: List[List[Column]] = []
-    for k in range(1, len(simplices)):
-        face_index = {chain: i for i, chain in enumerate(simplices[k - 1])}
+    for r in range(1, len(colours) + 1):
+        count = 0
         cols: List[Column] = []
-        for chain in simplices[k]:
-            col = []
-            for drop in range(len(chain)):
-                face = chain[:drop] + chain[drop + 1:]
-                col.append((face_index[face], (-1) ** drop))
-            cols.append(col)
-        boundaries.append(cols)
-
-    full_part = residues(G, cs)
-    n_components = G.n if size == 1 else len(full_part.components)
-    return OrderComplex(elements, simplices, boundaries, n_components)
+        for combo in itertools.combinations(colours, r):
+            s_bits = ColourSet(combo).bits
+            part = parts[s_bits] = residues(G, ColourSet.from_bits(cs.bits & ~s_bits))
+            offset[s_bits] = count
+            count += len(part.components)
+            if r == 1:
+                continue
+            for comp in part.components:
+                col = []
+                for p, c in enumerate(combo):
+                    face = s_bits & ~(1 << (c - 1))
+                    row = offset[face] + parts[face].component_of[comp[0]]
+                    col.append((row, (-1) ** p))
+                cols.append(col)
+        f_counts.append(count)
+        if r > 1:
+            boundaries.append(cols)
+    return OrderComplex(f_counts, boundaries)
 
 
 @dataclass(frozen=True)
 class BettiVector:
-    """Ranks of rational homology, b_0 .. b_dim.
-
-    exact=False marks a raw mod-p result (an upper bound on each entry);
-    every other code path returns certified exact values.
-    """
+    """Ranks of rational homology, b_0 .. b_dim."""
 
     betti: Tuple[int, ...]
-    exact: bool = True
 
     def __iter__(self):
         return iter(self.betti)
@@ -184,108 +122,51 @@ def sphere_vector(dim: int) -> Tuple[int, ...]:
     return (1,) + (0,) * (dim - 1) + (1,)
 
 
-def betti_numbers(K: OrderComplex, method: str = "auto") -> BettiVector:
-    """Betti numbers of an order complex.
-
-    method="exact": sparse elimination over exact rationals.
-    method="modp":  mod-p ranks only (entrywise upper bound, not certified).
-    method="auto":  mod-p first, certify via forced zeros + component count
-                    + Euler characteristic; exact elimination as fallback.
-    """
-    if method not in ("auto", "exact", "modp"):
-        raise RangeError(f"unknown method {method!r}")
+def betti_numbers(K: OrderComplex) -> BettiVector:
+    """Betti numbers of K from exact ranks of its boundary matrices."""
+    _check_boundaries(K)
     dims = K.f_counts()
-    top = len(dims) - 1
-    _assert_complex(K)
-    if method in ("modp", "auto"):
-        ranks = [0] + [
-            _sparse_rank(K.boundary(k), mod=MOD_P) for k in range(1, top + 1)
-        ] + [0]
-        b = tuple(
-            dims[k] - ranks[k] - ranks[k + 1] for k in range(top + 1)
+    ranks = [0] + [_sparse_rank(K.boundary(k)) for k in range(1, K.dim + 1)] + [0]
+    b = tuple(dims[k] - ranks[k] - ranks[k + 1] for k in range(K.dim + 1))
+    chi = sum((-1) ** k * bk for k, bk in enumerate(b))
+    if chi != K.euler_characteristic():
+        raise InvariantViolated(
+            f"Betti numbers {b} sum to {chi}, "
+            f"Euler characteristic is {K.euler_characteristic()}"
         )
-        if method == "modp":
-            return BettiVector(b, exact=False)
-        certified = _certify(b, K)
-        if certified is not None:
-            return BettiVector(certified, exact=True)
-    ranks = [0] + [
-        _sparse_rank(K.boundary(k), mod=None) for k in range(1, top + 1)
-    ] + [0]
-    b = tuple(dims[k] - ranks[k] - ranks[k + 1] for k in range(top + 1))
-    assert sum((-1) ** k * bk for k, bk in enumerate(b)) == K.euler_characteristic()
-    return BettiVector(b, exact=True)
+    return BettiVector(b)
 
 
-def _certify(b_modp: Tuple[int, ...], K: OrderComplex) -> Optional[Tuple[int, ...]]:
-    """Upgrade a mod-p Betti vector to a certified exact one, if forced.
-
-    Exact Betti numbers are bounded above entrywise by the mod-p ones and
-    share the same alternating sum (the Euler characteristic).  Entries that
-    are 0 mod p are therefore exactly 0; b_0 is the number of components of
-    the complex, known combinatorially.  If at most one entry remains free,
-    the Euler characteristic pins it.
-    """
-    if b_modp[0] != K.n_components:
-        return None
-    entries: List[Optional[int]] = [K.n_components] + [
-        0 if bk == 0 else None for bk in b_modp[1:]
-    ]
-    free = [k for k, e in enumerate(entries) if e is None]
-    chi = K.euler_characteristic()
-    if len(free) == 0:
-        assert sum((-1) ** k * e for k, e in enumerate(entries)) == chi
-        return tuple(entries)
-    if len(free) == 1:
-        t = free[0]
-        partial = sum((-1) ** k * e for k, e in enumerate(entries) if e is not None)
-        value = (chi - partial) * (-1) ** t
-        if 0 <= value <= b_modp[t]:
-            entries[t] = value
-            return tuple(entries)
-    return None
-
-
-def _assert_complex(K: OrderComplex) -> None:
+def _check_boundaries(K: OrderComplex) -> None:
     """Boundary-of-boundary must vanish identically."""
     for k in range(2, K.dim + 1):
         lower = K.boundary(k - 1)
-        for col in K.boundary(k):
+        for j, col in enumerate(K.boundary(k)):
             acc: Dict[int, int] = {}
             for face, sign in col:
                 for face2, sign2 in lower[face]:
                     acc[face2] = acc.get(face2, 0) + sign * sign2
-            assert all(v == 0 for v in acc.values()), "boundary^2 != 0"
+            if any(acc.values()):
+                raise InvariantViolated(f"boundary^2 != 0 on {k}-cell {j}")
 
 
-def _sparse_rank(columns: Sequence[Column], mod: Optional[int]) -> int:
-    """Rank of a sparse integer matrix given by columns.
+def _sparse_rank(columns: Sequence[Column]) -> int:
+    """Exact rank of a sparse integer matrix given by columns.
 
-    mod=None does exact elimination: pivots are chosen on +-1 entries while
-    any remain (integral row operations), then on arbitrary entries with
-    Fraction arithmetic.  mod=p works in GF(p).  Column/row choices favour
-    sparsity and are deterministic.
+    Pivots are chosen on +-1 entries while any remain (integral row
+    operations), then on arbitrary entries with Fraction arithmetic.
+    Column/row choices favour sparsity and are deterministic.
     """
     rows: Dict[int, Dict[int, object]] = {}
     cols: Dict[int, set] = {}
     for c, col in enumerate(columns):
-        live = False
         for r, val in col:
-            if mod is not None:
-                val %= mod
-                if val == 0:
-                    continue
             rows.setdefault(r, {})[c] = val
             cols.setdefault(c, set()).add(r)
-            live = True
-        if not live:
-            cols.pop(c, None)
 
     def col_state(c: int) -> Tuple[int, int]:
         # (1 if the column lacks a +-1 entry, current size); smaller is better
         size = len(cols[c])
-        if mod is not None:
-            return (0, size)
         for r in cols[c]:
             if rows[r][c] in (1, -1):
                 return (0, size)
@@ -311,19 +192,14 @@ def _sparse_rank(columns: Sequence[Column], mod: Optional[int]) -> int:
         best = None
         for r in cols[c]:
             val = rows[r][c]
-            unit = mod is not None or val == 1 or val == -1
-            row_key = (not unit, len(rows[r]), r)
+            row_key = (val not in (1, -1), len(rows[r]), r)
             if best is None or row_key < best[0]:
                 best = (row_key, r)
         r = best[1]
         pivot_val = rows[r][c]
         targets = [r2 for r2 in cols[c] if r2 != r]
-        if mod is not None:
-            inv = pow(pivot_val, mod - 2, mod)
         for r2 in targets:
-            if mod is not None:
-                factor = rows[r2][c] * inv % mod
-            elif pivot_val == 1:
+            if pivot_val == 1:
                 factor = rows[r2][c]
             elif pivot_val == -1:
                 factor = -rows[r2][c]
@@ -331,10 +207,7 @@ def _sparse_rank(columns: Sequence[Column], mod: Optional[int]) -> int:
                 factor = Fraction(rows[r2][c], 1) / pivot_val
             row2 = rows[r2]
             for cc, val in rows[r].items():
-                if mod is not None:
-                    new = (row2.get(cc, 0) - factor * val) % mod
-                else:
-                    new = row2.get(cc, 0) - factor * val
+                new = row2.get(cc, 0) - factor * val
                 if new:
                     if cc not in row2:
                         if cc not in cols:

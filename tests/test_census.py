@@ -9,6 +9,7 @@ from gemkit import (
     BadParams,
     BudgetExceeded,
     CLASSES,
+    RangeError,
     all_perfect_matchings,
     classify,
     compose_inverse,
@@ -228,3 +229,22 @@ def test_vn_experiment_rows():
         assert abs(row.n_over_log_n - row.n / math.log(row.n)) < 1e-9
     # k=1 leaves no choice of permutation at all
     assert report.rows[0].mean_cycles_valid == 1.0
+
+
+def test_vn_experiment_table_is_frozen():
+    # an even sample count: the median and p90 both interpolate
+    assert vn_experiment([4, 6], samples=8, seed=2).table_rows()[1:] == [
+        "4,48,10.8750,10.5,12.9,0.22656,2.6250,2.1250,2.0833,12.40",
+        "6,72,14.6250,13.5,18.9,0.20312,3.8750,1.8750,2.4500,16.84",
+    ]
+
+
+def test_vn_experiment_single_sample():
+    (row,) = vn_experiment([4], samples=1, seed=2).rows
+    assert row.mean_v == row.median_v == row.p90_v
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_vn_experiment_rejects_fewer_than_one_sample(samples):
+    with pytest.raises(RangeError):
+        vn_experiment([1], samples=samples)

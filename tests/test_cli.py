@@ -251,6 +251,12 @@ def test_stats_vn(capsys):
     assert lines[2].startswith("2,24,")
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_stats_vn_rejects_fewer_than_one_sample(samples, capsys):
+    assert run(["stats-vn", "--kmax", "1", "--samples", samples]) == 64
+    assert "samples must be >= 1" in capsys.readouterr().err
+
+
 def test_export_dot(torus_file, capsys):
     assert run(["export-dot", torus_file]) == 0
     out = capsys.readouterr().out

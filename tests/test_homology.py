@@ -1,17 +1,23 @@
-"""Order complexes and exact Betti numbers."""
+"""Coloured Δ-complexes and exact Betti numbers."""
+
+import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from gemkit import (
     BettiVector,
     InvalidColourSet,
+    InvariantViolated,
+    OrderComplex,
     RangeError,
     betti_numbers,
+    f_vector,
     order_complex,
     residues,
     sphere_vector,
 )
+from barycentric import barycentric_complex
 from conftest import (
     circle_graph,
     dipole_graph,
@@ -33,22 +39,25 @@ def test_single_colour_complex_is_isolated_points():
     K = order_complex(dipole_graph(1), (1,))
     assert K.dim == 0
     assert K.f_counts() == (2,)
-    assert K.n_components == 2
-    assert betti_numbers(K).betti == sphere_vector(0)
+    b = betti_numbers(K)
+    assert b[0] == 2
+    assert b.betti == sphere_vector(0)
 
 
 def test_circle_complex():
-    # barycentric subdivision of a 4-cycle: an octagon
+    # the 4-cycle itself; its barycentric subdivision is an octagon
     K = order_complex(circle_graph(), (1, 2))
-    assert K.f_counts() == (8, 8)
+    assert K.f_counts() == (4, 4)
+    assert barycentric_complex(circle_graph(), (1, 2)).f_counts() == (8, 8)
     assert K.euler_characteristic() == 0
     assert betti_numbers(K).betti == (1, 1)
 
 
 def test_torus_complex():
     K = order_complex(torus_graph(), (1, 2, 3))
-    # flags of the (3, 9, 6) cell structure
-    assert K.f_counts() == (18, 54, 36)
+    assert K.f_counts() == (3, 9, 6)
+    # the barycentric subdivision has one simplex per flag of cells
+    assert barycentric_complex(torus_graph(), (1, 2, 3)).f_counts() == (18, 54, 36)
     assert K.euler_characteristic() == 0
     assert betti_numbers(K).betti == (1, 2, 1)
 
@@ -56,7 +65,8 @@ def test_torus_complex():
 def test_two_tetrahedra_complex_is_a_homology_sphere():
     G = two_tetrahedra_graph()
     K = order_complex(G, (1, 2, 3, 4))
-    assert K.f_counts()[0] == 26  # 5 + 9 + 8 + 4 cells
+    assert K.f_counts() == (5, 9, 8, 4)
+    assert barycentric_complex(G, (1, 2, 3, 4)).f_counts()[0] == 26  # 5 + 9 + 8 + 4
     assert K.euler_characteristic() == 0
     assert betti_numbers(K).betti == (1, 0, 0, 1)
 
@@ -70,8 +80,9 @@ def test_split_pair_graph_is_a_rational_homology_sphere():
 def test_disjoint_union_doubles_betti():
     G = double_dipole_graph()
     K = order_complex(G, (1, 2, 3, 4))
-    assert K.n_components == 2
-    assert betti_numbers(K).betti == (2, 0, 0, 2)
+    b = betti_numbers(K)
+    assert b[0] == 2
+    assert b.betti == (2, 0, 0, 2)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -105,10 +116,13 @@ def test_empty_colour_set_rejected():
         order_complex(torus_graph(), ())
 
 
-def test_unknown_method_rejected():
-    K = order_complex(circle_graph(), (1, 2))
-    with pytest.raises(RangeError):
-        betti_numbers(K, method="float")
+def test_broken_boundary_is_rejected():
+    K = order_complex(torus_graph(), (1, 2, 3))
+    edges = [list(col) for col in K.boundary(1)]
+    edges[0] = [(face, -sign) for face, sign in edges[0]]
+    broken = OrderComplex(K.f_counts(), [edges, K.boundary(2)])
+    with pytest.raises(InvariantViolated, match="boundary"):
+        betti_numbers(broken)
 
 
 @pytest.mark.parametrize(
@@ -116,16 +130,11 @@ def test_unknown_method_rejected():
     [circle_graph, torus_graph, two_tetrahedra_graph, split_pair_graph],
 )
 def test_methods_agree(build):
+    """The Δ-complex and the barycentric oracle give the same homology."""
     G = build()
-    K = order_complex(G, G.colours)
-    exact = betti_numbers(K, method="exact")
-    auto = betti_numbers(K, method="auto")
-    modp = betti_numbers(K, method="modp")
-    assert exact.exact and auto.exact and not modp.exact
-    assert exact.betti == auto.betti
-    # mod-p ranks can only overestimate Betti numbers
-    assert all(m >= e for m, e in zip(modp, exact))
-    assert modp.betti == exact.betti
+    delta = betti_numbers(order_complex(G, G.colours))
+    oracle = betti_numbers(barycentric_complex(G, G.colours))
+    assert delta.betti == oracle.betti
 
 
 def test_betti_vector_container_protocol():
@@ -144,3 +153,14 @@ def test_betti_invariants_on_random_graphs(G):
     assert sum((-1) ** k * bk for k, bk in enumerate(b)) == chi
     assert b[0] == len(residues(G, G.colours).components)
     assert all(bk >= 0 for bk in b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(colourful_graphs(max_d=4, max_half=5))
+def test_delta_complex_matches_barycentric_oracle(G):
+    for r in range(1, G.d + 2):
+        for I in itertools.combinations(G.colours, r):
+            K = order_complex(G, I)
+            assert K.f_counts() == f_vector(G, I)
+            oracle = barycentric_complex(G, I)
+            assert betti_numbers(K).betti == betti_numbers(oracle).betti
