@@ -25,7 +25,7 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .constructions import SeedLike, _rng, build_manifold, random_construction_params
 from .dipoles import melonic_reduce
-from .errors import BadParams, BudgetExceeded, NotBipartite, RangeError
+from .errors import BadParams, BudgetExceeded, InvariantViolated, NotBipartite, RangeError
 from .graph import (
     ColourfulGraph,
     complex_vertex_count,
@@ -86,7 +86,8 @@ class CensusReport:
                 Fraction(cnt, 2**comps)
                 for comps, cnt in self.by_components.get(cls, {}).items()
             ) * choose
-            assert total.denominator == 1, "orbit weights must sum to an integer"
+            if total.denominator != 1:
+                raise InvariantViolated(f"orbit weights of {cls} sum to {total}")
             out[cls] = int(total)
         return out
 

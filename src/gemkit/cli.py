@@ -52,8 +52,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_graph(path: str) -> ColourfulGraph:
     try:
-        text = sys.stdin.read() if path == "-" else open(path).read()
-    except OSError as e:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path) as f:
+                text = f.read()
+    except (OSError, UnicodeDecodeError) as e:
         print(f"cannot read {path}: {e}", file=sys.stderr)
         raise SystemExit(EX_DATA)
     try:

@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .errors import BadParams, NotAConstructionGraph, OddN
+from .errors import BadParams, InvariantViolated, NotAConstructionGraph, OddN
 from .graph import ColourfulGraph
 
 SeedLike = Union[int, random.Random]
@@ -184,10 +184,13 @@ def build_manifold(params: ConstructionParams) -> ColourfulGraph:
     matchings: List[List[Optional[int]]] = [[None] * half for _ in range(d + 1)]
     for u, v, c in edges:
         w, b = (u, v) if u <= half else (v, u)
-        assert w <= half < b, "edge endpoints must straddle the bipartition"
-        assert matchings[c - 1][w - 1] is None, "duplicate colour at a vertex"
+        if not w <= half < b:
+            raise InvariantViolated(f"edge {u}-{v} does not straddle the bipartition")
+        if matchings[c - 1][w - 1] is not None:
+            raise InvariantViolated(f"vertex {w} has two edges of colour {c}")
         matchings[c - 1][w - 1] = b
-    assert all(all(row) for row in matchings), "every colour slot must be filled"
+    if not all(all(row) for row in matchings):
+        raise InvariantViolated("a colour slot of the glued graph is empty")
     return ColourfulGraph(d, tuple(tuple(row) for row in matchings))
 
 

@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple, Union
+from types import MappingProxyType
+from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
 
 from .errors import (
     InvalidColourSet,
+    InvariantViolated,
     LengthMismatch,
     NotABijection,
     NotAComponent,
@@ -139,7 +141,7 @@ class ColourfulGraph:
     colour i+1.  Instances are immutable; all operations are pure functions.
     """
 
-    __slots__ = ("d", "half", "matchings")
+    __slots__ = ("d", "half", "matchings", "_residues")
 
     def __init__(self, d: int, matchings: Sequence[Sequence[int]]):
         if d < 1:
@@ -168,6 +170,8 @@ class ColourfulGraph:
         self.d = d
         self.half = half
         self.matchings = tuple(frozen)
+        # colour bitmask -> ResiduePartition, written only by residues()
+        self._residues: Dict[int, "ResiduePartition"] = {}
 
     @property
     def n(self) -> int:
@@ -217,6 +221,10 @@ class ColourfulGraph:
     def __hash__(self) -> int:
         return hash((self.d, self.matchings))
 
+    def __reduce__(self):
+        # pickle and copy rebuild from the matchings; the memo is not state
+        return (ColourfulGraph, (self.d, self.matchings))
+
     def __repr__(self) -> str:
         return f"ColourfulGraph(d={self.d}, n={self.n})"
 
@@ -242,11 +250,11 @@ def from_matchings(d: int, matchings: Sequence[Sequence[int]]) -> ColourfulGraph
 
 @dataclass(frozen=True)
 class ResiduePartition:
-    """Connected components of the colour-restricted subgraph G_I."""
+    """Connected components of G_I; shared between callers, so read-only."""
 
     colour_set: ColourSet
     components: Tuple[Tuple[int, ...], ...]
-    component_of: Dict[int, int]
+    component_of: Mapping[int, int]
 
     def __len__(self) -> int:
         return len(self.components)
@@ -266,16 +274,33 @@ def _check_colours(G: ColourfulGraph, I: ColourSetLike) -> ColourSet:
 def residues(G: ColourfulGraph, I: ColourSetLike) -> ResiduePartition:
     """Components of G_I, ordered by minimum vertex, each sorted ascending.
 
-    The empty colour set yields n singleton components.
+    The empty colour set yields n singleton components.  Each partition is
+    computed once per graph and colour set, and later calls return it.
     """
     cs = _check_colours(G, I)
-    uf = UnionFind(range(1, G.n + 1))
-    for c in cs:
-        for w, b in enumerate(G.matchings[c - 1], start=1):
-            uf.union(w, b)
-    components = tuple(uf.components())
-    component_of = {v: i for i, comp in enumerate(components) for v in comp}
-    return ResiduePartition(cs, components, component_of)
+    part = G._residues.get(cs.bits)
+    if part is None:
+        uf = UnionFind(range(1, G.n + 1))
+        for c in cs:
+            for w, b in enumerate(G.matchings[c - 1], start=1):
+                uf.union(w, b)
+        components = tuple(uf.components())
+        component_of = {v: i for i, comp in enumerate(components) for v in comp}
+        part = ResiduePartition(cs, components, MappingProxyType(component_of))
+        G._residues[cs.bits] = part
+    return part
+
+
+def _check_component(
+    G: ColourfulGraph, cs: ColourSet, component: Iterable[int]
+) -> Tuple[int, ...]:
+    """The component, sorted; raises NotAComponent unless it is one of G_cs."""
+    comp = tuple(sorted(component))
+    part = residues(G, cs)
+    idx = part.component_of.get(comp[0]) if comp else None
+    if idx is None or part.components[idx] != comp:
+        raise NotAComponent(f"{comp} is not a component of the {tuple(cs)}-residue")
+    return comp
 
 
 class KappaTable:
@@ -309,19 +334,10 @@ class KappaTable:
 
 def kappa_table(G: ColourfulGraph) -> KappaTable:
     """Component counts for all 2^(d+1) colour subsets."""
-    table: Dict[int, int] = {}
-    for bits in range(1 << (G.d + 1)):
-        size = bits.bit_count()
-        if size == 0:
-            table[bits] = G.n
-        elif size == 1:
-            table[bits] = G.half
-        elif size == 2:
-            cs = tuple(ColourSet.from_bits(bits))
-            table[bits] = G.cycles_of_pair(cs[0], cs[1])
-        else:
-            table[bits] = len(residues(G, ColourSet.from_bits(bits)).components)
-    return KappaTable(G.d, G.n, table)
+    return KappaTable(G.d, G.n, {
+        bits: len(residues(G, ColourSet.from_bits(bits)))
+        for bits in range(1 << (G.d + 1))
+    })
 
 
 def kappa_r(G: ColourfulGraph, I: ColourSetLike, r: int) -> int:
@@ -337,14 +353,7 @@ def kappa_r(G: ColourfulGraph, I: ColourSetLike, r: int) -> int:
         return G.n
     if r == 1:
         return len(cs) * G.half
-    total = 0
-    for sub in cs.subsets(r):
-        if r == 2:
-            i, j = tuple(sub)
-            total += G.cycles_of_pair(i, j)
-        else:
-            total += len(residues(G, sub).components)
-    return total
+    return sum(len(residues(G, sub)) for sub in cs.subsets(r))
 
 
 def f_vector(G: ColourfulGraph, I: ColourSetLike) -> Tuple[int, ...]:
@@ -385,11 +394,7 @@ def genus_of_residue(
     cs = _check_colours(G, I)
     if len(cs) != 3:
         raise InvalidColourSet(f"genus needs exactly 3 colours, got {len(cs)}")
-    comp = tuple(sorted(component))
-    part = residues(G, cs)
-    idx = part.component_of.get(comp[0]) if comp else None
-    if idx is None or part.components[idx] != comp:
-        raise NotAComponent(f"{comp} is not a component of the {tuple(cs)}-residue")
+    comp = _check_component(G, cs, component)
     V = len(comp)
     E = 3 * V // 2
     whites = [v for v in comp if v <= G.half]
@@ -405,7 +410,8 @@ def genus_of_residue(
                     seen.add(x)
                     x = perm[x - 1]
     euler = V - E + F
-    assert euler % 2 == 0 and euler <= 2, "embedded residue must be orientable"
+    if euler % 2 or euler > 2:
+        raise InvariantViolated(f"residue {comp} is not orientable: V-E+F={euler}")
     genus = (2 - euler) // 2
     i, j, k = tuple(cs)
     return EmbeddedResidue(comp, (i, j, k), V, E, F, genus)
@@ -423,19 +429,14 @@ def has_property_P(G: ColourfulGraph) -> bool:
 
     which is what we test per colour triple (no per-component work needed).
     """
-    for I in G.colours.subsets(3):
-        i, j, k = tuple(I)
-        pair_sum = (
-            G.cycles_of_pair(i, j) + G.cycles_of_pair(i, k) + G.cycles_of_pair(j, k)
-        )
-        comp_count = len(residues(G, I).components)
-        if pair_sum != 2 * comp_count + G.half:
-            return False
-    return True
+    return all(
+        kappa_r(G, I, 2) == 2 * len(residues(G, I)) + G.half
+        for I in G.colours.subsets(3)
+    )
 
 
 def is_connected(G: ColourfulGraph) -> bool:
-    return len(residues(G, G.colours).components) == 1
+    return len(residues(G, G.colours)) == 1
 
 
 def residue_subgraph(
@@ -447,13 +448,9 @@ def residue_subgraph(
     colours of I are renumbered 1..|I| keeping their relative order.
     """
     cs = _check_colours(G, I)
-    if len(cs) < 1:
-        raise InvalidColourSet("residue subgraph needs at least one colour")
-    comp = tuple(sorted(component))
-    part = residues(G, cs)
-    idx = part.component_of.get(comp[0]) if comp else None
-    if idx is None or part.components[idx] != comp:
-        raise NotAComponent(f"{comp} is not a component of the {tuple(cs)}-residue")
+    if len(cs) < 2:
+        raise InvalidColourSet(f"residue subgraph needs at least two colours, got {len(cs)}")
+    comp = _check_component(G, cs, component)
     whites = [v for v in comp if v <= G.half]
     blacks = [v for v in comp if v > G.half]
     new_white = {v: i for i, v in enumerate(whites, start=1)}
@@ -475,10 +472,7 @@ def colour_deleted_components(G: ColourfulGraph, colour: int) -> List[ColourfulG
 
 def complex_vertex_count(G: ColourfulGraph) -> int:
     """Vertices of the encoded complex: components over all d-subsets of colours."""
-    total = 0
-    for I in G.colours.subsets(G.d):
-        total += len(residues(G, I).components)
-    return total
+    return kappa_r(G, G.colours, G.d)
 
 
 def from_coloured_edges(
@@ -531,7 +525,8 @@ def from_coloured_edges(
                     raise NotBipartite(f"odd cycle through vertices {x} and {y}")
     whites = sorted(v for v in incidence if side[v] == 0)
     blacks = sorted(v for v in incidence if side[v] == 1)
-    assert len(whites) == len(blacks) == n // 2
+    if not len(whites) == len(blacks) == n // 2:
+        raise InvariantViolated(f"{len(whites)} white vs {len(blacks)} black vertices")
     new_id = {v: i for i, v in enumerate(whites, start=1)}
     new_id.update({v: n // 2 + i for i, v in enumerate(blacks, start=1)})
     matchings = []

@@ -22,7 +22,6 @@ from .dipoles import melonic_reduce
 from .errors import (
     Disconnected,
     InvalidColourSet,
-    NotAComponent,
     OddDimension,
     PreconditionFailed,
 )
@@ -30,6 +29,7 @@ from .graph import (
     ColourfulGraph,
     ColourSetLike,
     _check_colours,
+    _check_component,
     genus_of_residue,
     is_connected,
     kappa_r,
@@ -147,11 +147,8 @@ def is_manifold(G: ColourfulGraph) -> TopologyVerdict:
     # necessary component-count identity on even-dimensional residues
     for m in range(3, G.d + 1, 2):
         for I in itertools.combinations(range(1, G.d + 2), m):
-            if not euler_poincare_check(G, I):
-                lhs = sum(
-                    (-1) ** r * kappa_r(G, I, r) for r in range(m)
-                )
-                rhs = 2 * len(residues(G, I).components)
+            lhs, rhs = _euler_poincare_sides(G, I)
+            if lhs != rhs:
                 return _no(
                     f"component-count identity fails on I={I}: "
                     f"alternating sum {lhs} != {rhs}"
@@ -207,13 +204,7 @@ def is_rational_homology_sphere(
         raise InvalidColourSet("need at least one colour")
     if size <= 2:
         # validate the component; the answer is structural
-        comp = tuple(sorted(component))
-        part = residues(G, cs)
-        idx = part.component_of.get(comp[0]) if comp else None
-        if idx is None or part.components[idx] != comp:
-            raise NotAComponent(
-                f"{comp} is not a component of the {tuple(cs)}-residue"
-            )
+        _check_component(G, cs, component)
         if size == 1:
             return _yes("single edge: two points, the 0-sphere")
         return _yes("bicoloured cycle: a circle")
@@ -243,9 +234,15 @@ def euler_poincare_check(G: ColourfulGraph, I: ColourSetLike) -> bool:
         raise OddDimension(
             f"identity applies to odd |I| (even complex dimension); got |I|={m}"
         )
-    lhs = sum((-1) ** r * kappa_r(G, cs, r) for r in range(m))
-    rhs = 2 * len(residues(G, cs).components)
+    lhs, rhs = _euler_poincare_sides(G, cs)
     return lhs == rhs
+
+
+def _euler_poincare_sides(G: ColourfulGraph, I: ColourSetLike) -> Tuple[int, int]:
+    """Both sides of sum_{r=0}^{m-1} (-1)^r kappa_r(I) == 2 kappa(I), m = |I|."""
+    cs = _check_colours(G, I)
+    lhs = sum((-1) ** r * kappa_r(G, cs, r) for r in range(len(cs)))
+    return lhs, 2 * len(residues(G, cs))
 
 
 @dataclass(frozen=True)
@@ -282,10 +279,10 @@ def lemma1_witness(
     )
     if strict and not hypothesis:
         raise PreconditionFailed("a component of G_I has positive genus")
-    k_full = len(part.components)
+    k_full = len(part)
     best = None
     for i, j in itertools.combinations(tuple(cs), 2):
-        value = G.cycles_of_pair(i, j) - k_full
+        value = len(residues(G, (i, j))) - k_full
         if best is None or value < best[1]:
             best = ((i, j), value)
     bound = Fraction(G.n, 6)
@@ -312,12 +309,9 @@ def lemma2_witness(
         raise PreconditionFailed("a component of G_I is not a rational homology sphere")
     best = None
     for i, j in itertools.combinations(tuple(cs), 2):
-        k_pair = G.cycles_of_pair(i, j)
-        for k in tuple(cs):
-            if k == i or k == j:
-                continue
-            k_triple = len(residues(G, (i, j, k)).components)
-            value = k_pair - k_triple
+        k_pair = len(residues(G, (i, j)))
+        for k in cs.minus((i, j)):
+            value = k_pair - len(residues(G, (i, j, k)))
             if best is None or value < best[1]:
                 best = ((i, j, k), value)
     bound = Fraction(3 * G.n, 20)

@@ -58,6 +58,29 @@ def test_validate_malformed_file(tmp_path, capsys):
     assert "matching lines" in capsys.readouterr().err
 
 
+def test_validate_binary_file(tmp_path, capsys):
+    path = tmp_path / "image.cgf"
+    path.write_bytes(b"\x89PNG\r\n\x1a\n\x00\xff\xfe\xc3\x28")
+    with pytest.raises(SystemExit) as exc:
+        run(["validate", str(path)])
+    assert exc.value.code == 65
+    assert str(path) in capsys.readouterr().err
+
+
+def test_validate_undecodable_stdin():
+    # strict UTF-8 on stdin, as under a UTF-8 locale; the C locale's UTF-8
+    # mode would smuggle the bytes through as surrogates instead
+    env = dict(_checkout_env(), PYTHONIOENCODING="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "gemkit", "validate", "-"],
+        input=b"cgf 1 2\n\xff\xfe\xc3\x28\n",
+        capture_output=True,
+        env=env,
+    )
+    assert proc.returncode == 65
+    assert b"Traceback" not in proc.stderr
+
+
 def test_no_arguments_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         run([])

@@ -1,7 +1,9 @@
 """Core graph model: colour sets, residues, kappa tables, genus."""
 
+import copy
 import itertools
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,6 +41,7 @@ from conftest import (
     torus_in_d3,
     two_tetrahedra_graph,
 )
+from residue_oracle import residue_components
 
 
 @st.composite
@@ -159,7 +162,41 @@ def test_kappa_table_matches_direct_component_counts(G):
     table = kappa_table(G)
     for r in range(G.d + 2):
         for I in G.colours.subsets(r):
-            assert table[I] == len(residues(G, I).components)
+            assert table[I] == len(residue_components(G, I))
+
+
+@settings(max_examples=60, deadline=None)
+@given(colourful_graphs(max_d=4, max_half=5))
+def test_residue_engine_matches_bfs_oracle(G):
+    for bits in range(1 << (G.d + 1)):
+        I = ColourSet.from_bits(bits)
+        part = residues(G, I)
+        assert part.components == residue_components(G, I)
+        for idx, comp in enumerate(part.components):
+            assert all(part.component_of[v] == idx for v in comp)
+        if len(I) == 2:
+            assert len(residues(G, set(I))) == G.cycles_of_pair(*I)
+        assert residues(G, I) is part
+        assert residues(G, tuple(I)) is part
+        with pytest.raises(TypeError):
+            part.component_of[1] = 0
+
+
+def test_residue_memo_leaves_identity_alone():
+    G, H = two_tetrahedra_graph(), two_tetrahedra_graph()
+    kappa_table(G)
+    assert G == H and hash(G) == hash(H)
+    assert repr(G) == repr(H) == "ColourfulGraph(d=3, n=4)"
+    assert residues(G, (1, 2)) is not residues(H, (1, 2))
+
+
+def test_pickle_and_copy_rebuild_without_the_memo():
+    G = two_tetrahedra_graph()
+    kappa_table(G)
+    for H in (pickle.loads(pickle.dumps(G)), copy.copy(G), copy.deepcopy(G)):
+        assert H == G
+        assert residues(H, (1, 2, 3)) is not residues(G, (1, 2, 3))
+        assert residues(H, (1, 2, 3)).components == residues(G, (1, 2, 3)).components
 
 
 @settings(max_examples=60, deadline=None)
@@ -270,6 +307,12 @@ def test_residue_subgraph_relabels_canonically():
     assert sub.n == len(comp)
     # colours renumbered 1..|I| preserving order
     assert sub.colours == ColourSet([1, 2])
+
+
+def test_residue_subgraph_needs_two_colours():
+    G = two_tetrahedra_graph()
+    with pytest.raises(InvalidColourSet, match="at least two colours"):
+        residue_subgraph(G, (2,), residues(G, (2,)).component_containing(1))
 
 
 def test_residue_subgraph_of_everything_is_the_graph():

@@ -126,6 +126,22 @@ def test_broken_boundary_is_rejected():
 
 
 @pytest.mark.parametrize(
+    "f_counts, boundaries",
+    [
+        # a row index past the single vertex
+        ((1, 2), [[[(0, 1)], [(1, 1)]]]),
+        # two edges but one boundary column
+        ((2, 2), [[[(0, -1), (1, 1)]]]),
+        # a negative row index
+        ((2, 1), [[[(-1, 1)]]]),
+    ],
+)
+def test_malformed_boundary_is_rejected(f_counts, boundaries):
+    with pytest.raises(InvariantViolated, match=r"boundary\(1\)"):
+        betti_numbers(OrderComplex(f_counts, boundaries))
+
+
+@pytest.mark.parametrize(
     "build",
     [circle_graph, torus_graph, two_tetrahedra_graph, split_pair_graph],
 )
