@@ -12,10 +12,20 @@ over C(n, n/2) white-set choices.  The slow route enumerates genuinely
 labelled tuples of perfect matchings of [1..n] with no symmetry reasoning
 at all and tallies them directly; it is the ground truth the fast route
 must reproduce.  Disagreement between the two is the primary bug detector.
+
+The fast route visits one tuple per white-relabelling orbit.  Relabelling
+the white vertices by a permutation p sends (m_1, ..., m_{d+1}) to
+(m_1 o p^-1, ..., m_{d+1} o p^-1), an isomorphic graph, so every class,
+component count and bound slack is constant on an orbit.  The action is
+free and exactly one member of each orbit has the identity as its first
+matching, so the walk fixes m_1 to the identity and counts each visited
+tuple (n/2)! times.  This is the first step of isomorph-free generation
+(McKay, "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import statistics
@@ -99,6 +109,22 @@ class CensusReport:
         ]
 
 
+def _census_perms(d: int, n: int, budget: int, advice: str = "") -> List[Tuple[int, ...]]:
+    """Bijections from the white set onto the black set, sorted, for a checked size.
+
+    The budget bounds the (n/2)!^(d+1) tuples the census stands for, not
+    the (n/2)!^d it visits.
+    """
+    if n % 2 or n < 2:
+        raise BadParams(f"n must be even and >= 2, got {n}")
+    total = tuple_count(d, n)
+    if total > budget:
+        raise BudgetExceeded(f"(n/2)!^(d+1) = {total} exceeds budget {budget}{advice}")
+    if d < 1:
+        raise RangeError(f"dimension d must be >= 1, got {d}")
+    return sorted(itertools.permutations(range(n // 2 + 1, n + 1)))
+
+
 def enumerate_census(
     d: int,
     n: int,
@@ -107,41 +133,41 @@ def enumerate_census(
     shard: Optional[Tuple[int, int]] = None,
     emit: Optional[Callable[[ColourfulGraph, FrozenSet[str]], None]] = None,
 ) -> CensusReport:
-    """Walk all matching tuples over the canonical white set and classify.
+    """Classify all (n/2)!^(d+1) matching tuples over the canonical white set.
 
-    shard=(index, count) keeps only tuples whose first matching has
-    lexicographic position congruent to index mod count; shard reports
-    merge by adding counts.
+    Only the tuples whose first matching is the identity are classified;
+    each stands for its white-relabelling orbit of (n/2)! tuples (see the
+    module docstring) and adds (n/2)! to every count.  emit, when given,
+    is still called once per matching tuple: with each visited tuple's
+    (n/2)! relabellings and the visited tuple's classes.
+
+    shard=(index, count) keeps only tuples whose second matching has
+    lexicographic position congruent to index mod count, which needs
+    0 <= index < count; shard reports merge by adding counts.
     """
-    if n % 2 or n < 2:
-        raise BadParams(f"n must be even and >= 2, got {n}")
-    total = tuple_count(d, n)
-    if total > budget:
-        raise BudgetExceeded(
-            f"(n/2)!^(d+1) = {total} exceeds budget {budget}; "
-            "raise the budget or shard the run"
-        )
-    half = n // 2
-    perms = sorted(itertools.permutations(range(half + 1, n + 1)))
+    perms = _census_perms(d, n, budget, "; raise the budget or shard the run")
+    seconds = perms
+    if shard is not None:
+        index, count = shard
+        if not 0 <= index < count:
+            raise BadParams(f"shard index must lie in [0, count), got {index}/{count}")
+        seconds = perms[index::count]
+    weight = len(perms)
+    relabellings = list(itertools.permutations(range(n // 2))) if emit is not None else ()
     counts: Dict[str, int] = {cls: 0 for cls in CLASSES}
     by_components: Dict[str, Dict[int, int]] = {cls: {} for cls in CLASSES}
-
-    firsts = (
-        [p for i, p in enumerate(perms) if i % shard[1] == shard[0]]
-        if shard
-        else perms
-    )
-    for first in firsts:
-        for rest in itertools.product(perms, repeat=d):
-            G = ColourfulGraph(d, (first,) + rest)
+    for second in seconds:
+        for rest in itertools.product(perms, repeat=d - 1):
+            G = ColourfulGraph(d, (perms[0], second) + rest)
             names = classifier(G)
             comps = len(residues(G, G.colours).components)
             for cls in names:
-                counts[cls] += 1
+                counts[cls] += weight
                 bc = by_components[cls]
-                bc[comps] = bc.get(comps, 0) + 1
-            if emit is not None:
-                emit(G, names)
+                bc[comps] = bc.get(comps, 0) + weight
+            for inv in relabellings:
+                # white w is relabelled p(w) where inv lists p^-1
+                emit(ColourfulGraph(d, [[m[i] for i in inv] for m in G.matchings]), names)
     return CensusReport(d, n, counts, by_components)
 
 
@@ -165,6 +191,16 @@ def all_perfect_matchings(n: int) -> List[Tuple[int, ...]]:
 
     rec()
     return out
+
+
+@functools.lru_cache(maxsize=1)
+def _matchings_of(n: int) -> Tuple[Tuple[int, ...], ...]:
+    """all_perfect_matchings(n), built once per run of calls at one n.
+
+    A battery calls verify_extension_bound for many bases of one size in
+    a row; keeping only the latest size bounds what stays in memory.
+    """
+    return tuple(all_perfect_matchings(n))
 
 
 @dataclass
@@ -249,27 +285,28 @@ def verify_lemma_bounds(
     kappa^(2) = 2 kappa^(3) + n/2 is evaluated by the independent counting
     route and must hold exactly on the same (G, I); mismatches in either
     direction are counted.  check_5 runs the 5-subset bound when d >= 4.
+
+    Like enumerate_census, only tuples whose first matching is the identity
+    are visited, and each adds (n/2)! to graphs, checked, violations and
+    identity_mismatches.  Slacks are constant on an orbit and the identity
+    is the first matching in lexicographic order, so min_slack and the
+    extremal (G, I) are those the walk over every tuple would find first.
     """
-    if n % 2 or n < 2:
-        raise BadParams(f"n must be even and >= 2, got {n}")
-    total = tuple_count(d, n)
-    if total > budget:
-        raise BudgetExceeded(f"(n/2)!^(d+1) = {total} exceeds budget {budget}")
-    half = n // 2
-    perms = sorted(itertools.permutations(range(half + 1, n + 1)))
+    perms = _census_perms(d, n, budget)
+    weight = len(perms)
     report = LemmaBoundsReport(d, n, 0, 0, 0, None, None, 0)
-    for tup in itertools.product(perms, repeat=d + 1):
-        G = ColourfulGraph(d, tup)
-        report.graphs += 1
+    for rest in itertools.product(perms, repeat=d):
+        G = ColourfulGraph(d, (perms[0],) + rest)
+        report.graphs += weight
         for I in itertools.combinations(range(1, d + 2), 3):
             w = lemma1_witness(G, I)
             if euler_poincare_check(G, I) != w.hypothesis_met:
-                report.identity_mismatches += 1
+                report.identity_mismatches += weight
             if not w.hypothesis_met:
                 continue
-            report.checked_3 += 1
+            report.checked_3 += weight
             if w.slack < 0:
-                report.violations_3 += 1
+                report.violations_3 += weight
             if report.min_slack_3 is None or w.slack < report.min_slack_3:
                 report.min_slack_3 = w.slack
                 report.extremal_3 = (G, I)
@@ -278,9 +315,9 @@ def verify_lemma_bounds(
                 w = lemma2_witness(G, I)
                 if not w.hypothesis_met:
                     continue
-                report.checked_5 += 1
+                report.checked_5 += weight
                 if w.slack < 0:
-                    report.violations_5 += 1
+                    report.violations_5 += weight
                 if report.min_slack_5 is None or w.slack < report.min_slack_5:
                     report.min_slack_5 = w.slack
                     report.extremal_5 = (G, I)
@@ -300,19 +337,19 @@ def _check_involution(m: Sequence[int], n: int, name: str) -> Tuple[int, ...]:
 
 def _union_components(ms: Sequence[Sequence[int]], n: int) -> int:
     parent = list(range(n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    components = n
     for m in ms:
-        for v in range(1, n + 1):
-            a, b = find(v), find(m[v - 1])
-            if a != b:
-                parent[a] = b
-    return len({find(v) for v in range(1, n + 1)})
+        for v, u in enumerate(m, start=1):
+            if v > u:
+                continue  # an involution lists each edge twice
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            if v != u:
+                parent[v] = u
+                components -= 1
+    return components
 
 
 def _pair_cycles(m1: Sequence[int], m2: Sequence[int], n: int) -> int:
@@ -372,16 +409,13 @@ def verify_extension_bound(
     c = _union_components((m1, m2), n)
     buckets: Dict[int, int] = {}
     tried = planar = 0
-    for m3 in all_perfect_matchings(n):
+    for m3 in _matchings_of(n):
         tried += 1
         if not _is_bipartite_union((m1, m2, m3), n):
             continue
         k = _union_components((m1, m2, m3), n)
-        cycles = (
-            _pair_cycles(m1, m2, n)
-            + _pair_cycles(m1, m3, n)
-            + _pair_cycles(m2, m3, n)
-        )
+        # the (m1, m2) cycles are the base's components
+        cycles = c + _pair_cycles(m1, m3, n) + _pair_cycles(m2, m3, n)
         if cycles == 2 * k + n // 2:
             planar += 1
             buckets[k] = buckets.get(k, 0) + 1

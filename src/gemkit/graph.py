@@ -105,34 +105,6 @@ def as_colour_set(I: ColourSetLike) -> ColourSet:
     return I if isinstance(I, ColourSet) else ColourSet(I)
 
 
-class UnionFind:
-    """Disjoint sets over integer keys, with path compression."""
-
-    def __init__(self, items: Iterable[int]):
-        self.parent = {x: x for x in items}
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            if ry < rx:
-                rx, ry = ry, rx
-            self.parent[ry] = rx
-
-    def components(self) -> List[Tuple[int, ...]]:
-        groups: Dict[int, List[int]] = {}
-        for x in self.parent:
-            groups.setdefault(self.find(x), []).append(x)
-        return [tuple(sorted(g)) for g in sorted(groups.values(), key=min)]
-
-
 class ColourfulGraph:
     """A (d+1)-colourful graph in canonical white/black labelling.
 
@@ -265,9 +237,10 @@ class ResiduePartition:
 
 def _check_colours(G: ColourfulGraph, I: ColourSetLike) -> ColourSet:
     cs = as_colour_set(I)
-    for c in cs:
-        if c > G.d + 1:
-            raise InvalidColourSet(f"colour {c} outside [1..{G.d + 1}]")
+    high = cs.bits >> (G.d + 1)
+    if high:
+        c = G.d + 1 + (high & -high).bit_length()
+        raise InvalidColourSet(f"colour {c} outside [1..{G.d + 1}]")
     return cs
 
 
@@ -280,12 +253,33 @@ def residues(G: ColourfulGraph, I: ColourSetLike) -> ResiduePartition:
     cs = _check_colours(G, I)
     part = G._residues.get(cs.bits)
     if part is None:
-        uf = UnionFind(range(1, G.n + 1))
+        # union-find with path halving; the smaller root wins, so every
+        # root is its component's minimum and parent[v] <= v throughout
+        parent = list(range(G.n + 1))
         for c in cs:
             for w, b in enumerate(G.matchings[c - 1], start=1):
-                uf.union(w, b)
-        components = tuple(uf.components())
-        component_of = {v: i for i, comp in enumerate(components) for v in comp}
+                while parent[w] != w:
+                    parent[w] = w = parent[parent[w]]
+                while parent[b] != b:
+                    parent[b] = b = parent[parent[b]]
+                if w < b:
+                    parent[b] = w
+                elif b < w:
+                    parent[w] = b
+        # ascending pass: a non-root v has parent[v] < v, already re-pointed
+        # at its root, so each component opens at its minimum and fills in
+        # ascending order
+        comps: List[List[int]] = []
+        component_of: Dict[int, int] = {}
+        for v in range(1, G.n + 1):
+            root = parent[v] = parent[parent[v]]
+            if root == v:
+                component_of[v] = len(comps)
+                comps.append([v])
+            else:
+                idx = component_of[v] = component_of[root]
+                comps[idx].append(v)
+        components = tuple(map(tuple, comps))
         part = ResiduePartition(cs, components, MappingProxyType(component_of))
         G._residues[cs.bits] = part
     return part
@@ -400,7 +394,9 @@ def genus_of_residue(
     whites = [v for v in comp if v <= G.half]
     F = 0
     for i, j in itertools.combinations(tuple(cs), 2):
-        perm = G.pair_permutation(i, j)
+        # follow colour i, come back along colour j, within the component
+        mi, mj = G.matchings[i - 1], G.matchings[j - 1]
+        back = {mj[w - 1]: w for w in whites}
         seen = set()
         for w in whites:
             if w not in seen:
@@ -408,7 +404,7 @@ def genus_of_residue(
                 x = w
                 while x not in seen:
                     seen.add(x)
-                    x = perm[x - 1]
+                    x = back[mi[x - 1]]
     euler = V - E + F
     if euler % 2 or euler > 2:
         raise InvariantViolated(f"residue {comp} is not orientable: V-E+F={euler}")

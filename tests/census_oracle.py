@@ -1,0 +1,72 @@
+"""The census and lemma sweeps over every matching tuple: a reference for the tests.
+
+The library visits one matching tuple per white-relabelling orbit and
+weights it by the orbit size.  These walks visit all (n/2)!^(d+1) tuples
+over the canonical white set with no symmetry argument, counting each
+once, so the tests can compare the two.  They reuse the library's
+classifier and witnesses: what they check is the orbit argument, not the
+classes themselves (enumerate_labelled checks those).
+"""
+
+import itertools
+
+from gemkit import (
+    CLASSES,
+    CensusReport,
+    ColourfulGraph,
+    LemmaBoundsReport,
+    classify,
+    euler_poincare_check,
+    lemma1_witness,
+    lemma2_witness,
+    residues,
+)
+
+
+def _tuples(d, n):
+    perms = sorted(itertools.permutations(range(n // 2 + 1, n + 1)))
+    return itertools.product(perms, repeat=d + 1)
+
+
+def full_census(d, n, classifier=classify):
+    counts = {cls: 0 for cls in CLASSES}
+    by_components = {cls: {} for cls in CLASSES}
+    for tup in _tuples(d, n):
+        G = ColourfulGraph(d, tup)
+        comps = len(residues(G, G.colours).components)
+        for cls in classifier(G):
+            counts[cls] += 1
+            bc = by_components[cls]
+            bc[comps] = bc.get(comps, 0) + 1
+    return CensusReport(d, n, counts, by_components)
+
+
+def full_lemma_bounds(d, n, check_5=False):
+    report = LemmaBoundsReport(d, n, 0, 0, 0, None, None, 0)
+    for tup in _tuples(d, n):
+        G = ColourfulGraph(d, tup)
+        report.graphs += 1
+        for I in itertools.combinations(range(1, d + 2), 3):
+            w = lemma1_witness(G, I)
+            if euler_poincare_check(G, I) != w.hypothesis_met:
+                report.identity_mismatches += 1
+            if not w.hypothesis_met:
+                continue
+            report.checked_3 += 1
+            if w.slack < 0:
+                report.violations_3 += 1
+            if report.min_slack_3 is None or w.slack < report.min_slack_3:
+                report.min_slack_3 = w.slack
+                report.extremal_3 = (G, I)
+        if check_5 and d >= 4:
+            for I in itertools.combinations(range(1, d + 2), 5):
+                w = lemma2_witness(G, I)
+                if not w.hypothesis_met:
+                    continue
+                report.checked_5 += 1
+                if w.slack < 0:
+                    report.violations_5 += 1
+                if report.min_slack_5 is None or w.slack < report.min_slack_5:
+                    report.min_slack_5 = w.slack
+                    report.extremal_5 = (G, I)
+    return report

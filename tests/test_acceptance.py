@@ -1,20 +1,16 @@
 """Acceptance suite: one test per shipped guarantee.
 
 Run with -v to get one pass/fail line per criterion.  Each test carries its
-own wall-clock budget; exact checks have zero numeric tolerance.  The n=8
-census is optional (set GEMKIT_CENSUS_N8=1) because its tuple space is five
-orders of magnitude above the n=6 run.
+own wall-clock budget; exact checks have zero numeric tolerance.
 """
 
 import itertools
-import os
 import time
 from contextlib import contextmanager
 
 import pytest
 
 from gemkit import (
-    CLASSES,
     Status,
     all_perfect_matchings,
     betti_numbers,
@@ -99,15 +95,19 @@ def test_04_census_cross_validation():
         assert enumerate_census(3, 2).labelled_counts["manifold"] == 1
 
 
-@pytest.mark.skipif(
-    not os.environ.get("GEMKIT_CENSUS_N8"),
-    reason="large optional census; set GEMKIT_CENSUS_N8=1 to run",
-)
 def test_04_optional_census_n8():
-    report = enumerate_census(3, 8, budget=10**9)
-    assert report.counts["all"] == 331776
-    labelled = report.labelled_counts
-    assert all(labelled[c] >= report.counts[c] for c in CLASSES if report.counts[c])
+    # rows of the walk over all 331,776 tuples; the orbit walk visits 13,824
+    with time_budget(120):
+        report = enumerate_census(3, 8, budget=10**9)
+    assert report.rows() == [
+        "all,331776,11197305",
+        "propertyP,189360,6273225",
+        "manifold,189360,6273225",
+        "sphere_yes,20160,705600",
+        "sphere_unknown,147744,5171040",
+        "melonic,20160,705600",
+    ]
+    assert report.by_components["all"] == {1: 308592, 2: 22152, 3: 1008, 4: 24}
 
 
 def test_05_pair_bound_exhaustive(lemma_reports):

@@ -1,5 +1,6 @@
 """Census enumeration, counting audits, and cycle statistics."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from gemkit import (
     verify_lemma_bounds,
     vn_experiment,
 )
+from census_oracle import full_census, full_lemma_bounds
 from conftest import (
     double_dipole_graph,
     split_pair_graph,
@@ -115,21 +117,53 @@ def test_census_rows_are_stable():
 
 
 def test_shards_partition_the_census():
-    full = enumerate_census(3, 4)
-    merged = {cls: 0 for cls in CLASSES}
-    for index in range(2):
-        part = enumerate_census(3, 4, shard=(index, 2))
-        for cls, cnt in part.counts.items():
-            merged[cls] += cnt
-    assert merged == full.counts
+    # more shards than second matchings (2 at n=4, 6 at n=6) leave some empty
+    for d, n, count in ((3, 4, 2), (3, 4, 3), (2, 6, 2), (2, 6, 4), (2, 6, 7)):
+        full = enumerate_census(d, n)
+        merged = {cls: 0 for cls in CLASSES}
+        merged_components = {cls: {} for cls in CLASSES}
+        for index in range(count):
+            part = enumerate_census(d, n, shard=(index, count))
+            for cls, cnt in part.counts.items():
+                merged[cls] += cnt
+            for cls, bc in part.by_components.items():
+                for comps, cnt in bc.items():
+                    merged_components[cls][comps] = merged_components[cls].get(comps, 0) + cnt
+        assert merged == full.counts, (d, n, count)
+        assert merged_components == full.by_components, (d, n, count)
+
+
+@pytest.mark.parametrize("shard", [(0, 0), (5, 2), (2, 2), (-1, 2), (1, -3)])
+def test_census_rejects_bad_shards(shard):
+    with pytest.raises(BadParams):
+        enumerate_census(3, 4, shard=shard)
 
 
 def test_census_emit_callback():
     seen = []
-    enumerate_census(3, 4, emit=lambda G, names: seen.append((G.n, sorted(names))))
-    assert len(seen) == 16
-    assert all(n == 4 for n, _ in seen)
-    assert all("all" in names for _, names in seen)
+    enumerate_census(3, 4, emit=lambda G, names: seen.append((G, names)))
+    every_tuple = set(itertools.product(itertools.permutations((3, 4)), repeat=4))
+    assert sorted(G.matchings for G, _ in seen) == sorted(every_tuple)
+    assert all(G.d == 3 and names == classify(G) for G, names in seen)
+
+
+@pytest.mark.parametrize("d, n", [(2, 6), (3, 4), (3, 6), (4, 4)])
+def test_orbit_walk_matches_the_full_census(d, n):
+    orbit = enumerate_census(d, n)
+    full = full_census(d, n)
+    assert orbit.rows() == full.rows()
+    assert orbit.labelled_counts == full.labelled_counts
+    assert orbit.by_components == full.by_components
+
+
+@pytest.mark.parametrize(
+    "d, n, check_5", [(3, 4, False), (3, 6, False), (4, 4, True), (4, 2, True)]
+)
+def test_orbit_walk_matches_the_full_lemma_sweep(d, n, check_5):
+    orbit = verify_lemma_bounds(d, n, check_5=check_5)
+    full = full_lemma_bounds(d, n, check_5=check_5)
+    # every field, the extremal (G, I) included
+    assert orbit == full
 
 
 def test_census_budget():

@@ -152,8 +152,10 @@ def test_residues_full_colour_set():
 
 
 def test_residues_rejects_unknown_colour():
-    with pytest.raises(InvalidColourSet):
-        residues(torus_graph(), (1, 4))
+    # the message names the smallest colour out of range
+    for I, named in (((1, 4), 4), ((7, 1, 5), 5), ((2, 64), 64)):
+        with pytest.raises(InvalidColourSet, match=rf"^colour {named} outside \[1\.\.3\]$"):
+            residues(torus_graph(), I)
 
 
 @settings(max_examples=60, deadline=None)
@@ -281,10 +283,14 @@ def test_every_three_residue_satisfies_euler_formula(G):
     if G.d < 2:
         return
     for I in itertools.combinations(range(1, G.d + 2), 3):
+        faces = 0
         for comp in residues(G, I).components:
             emb = genus_of_residue(G, I, comp)
             assert emb.V - emb.E + emb.F == 2 - 2 * emb.genus
             assert emb.genus >= 0
+            faces += emb.F
+        # each bicoloured cycle is a face of exactly one component
+        assert faces == sum(G.cycles_of_pair(i, j) for i, j in itertools.combinations(I, 2))
 
 
 def test_property_P():
