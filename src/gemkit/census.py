@@ -109,17 +109,19 @@ class CensusReport:
         ]
 
 
-def _census_perms(d: int, n: int, budget: int, advice: str = "") -> List[Tuple[int, ...]]:
+def _census_perms(d: int, n: int, budget: int) -> List[Tuple[int, ...]]:
     """Bijections from the white set onto the black set, sorted, for a checked size.
 
     The budget bounds the (n/2)!^(d+1) tuples the census stands for, not
-    the (n/2)!^d it visits.
+    the (n/2)!^d it visits, nor the share of them a shard keeps.
     """
     if n % 2 or n < 2:
         raise BadParams(f"n must be even and >= 2, got {n}")
     total = tuple_count(d, n)
     if total > budget:
-        raise BudgetExceeded(f"(n/2)!^(d+1) = {total} exceeds budget {budget}{advice}")
+        raise BudgetExceeded(
+            f"(n/2)!^(d+1) = {total} exceeds budget {budget}; raise the budget"
+        )
     if d < 1:
         raise RangeError(f"dimension d must be >= 1, got {d}")
     return sorted(itertools.permutations(range(n // 2 + 1, n + 1)))
@@ -145,7 +147,7 @@ def enumerate_census(
     lexicographic position congruent to index mod count, which needs
     0 <= index < count; shard reports merge by adding counts.
     """
-    perms = _census_perms(d, n, budget, "; raise the budget or shard the run")
+    perms = _census_perms(d, n, budget)
     seconds = perms
     if shard is not None:
         index, count = shard
@@ -336,6 +338,12 @@ def _check_involution(m: Sequence[int], n: int, name: str) -> Tuple[int, ...]:
 
 
 def _union_components(ms: Sequence[Sequence[int]], n: int) -> int:
+    """Components of the union of the matchings ms on [1..n].
+
+    Every m must be a fixed-point-free involution (as _check_involution
+    and all_perfect_matchings guarantee): each edge is then read once, at
+    its smaller end, and the count falls by one per merge.
+    """
     parent = list(range(n + 1))
     components = n
     for m in ms:

@@ -96,16 +96,6 @@ def _parse_perm(text: str, k: int, name: str) -> Tuple[int, ...]:
     return images
 
 
-def _shard_spec(text: str) -> Tuple[int, int]:
-    index, sep, count = text.partition("/")
-    if sep:
-        try:
-            return int(index), int(count)
-        except ValueError:
-            pass
-    raise argparse.ArgumentTypeError(f"expected I/K, e.g. 0/4, got {text!r}")
-
-
 def build_parser() -> _Parser:
     p = _Parser(prog="gemkit", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -158,9 +148,6 @@ def build_parser() -> _Parser:
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--emit-graphs", metavar="DIR")
     c.add_argument("--budget", type=int, default=census_mod.DEFAULT_BUDGET)
-    c.add_argument("--shard", type=_shard_spec, metavar="I/K",
-                   help="only tuples whose second matching's position is I mod K; "
-                        "the K shards' rows add up to the whole census")
 
     c = cmd("verify-lemmas", "slack audit of the component-count bounds")
     c.add_argument("--d", type=int, required=True)
@@ -317,9 +304,7 @@ def _run_census(args) -> int:
             with open(path, "w") as fh:
                 fh.write(write_cgf(G, comment=f"census d={args.d} n={args.n} classes={tag}"))
 
-    report = census_mod.enumerate_census(
-        args.d, args.n, budget=args.budget, shard=args.shard, emit=emit
-    )
+    report = census_mod.enumerate_census(args.d, args.n, budget=args.budget, emit=emit)
     print("class,canonical,labelled")
     for row in report.rows():
         print(row)

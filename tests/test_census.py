@@ -23,6 +23,7 @@ from gemkit import (
     verify_lemma_bounds,
     vn_experiment,
 )
+from gemkit.census import _union_components
 from census_oracle import full_census, full_lemma_bounds
 from conftest import (
     double_dipole_graph,
@@ -173,6 +174,18 @@ def test_census_budget():
         enumerate_census(3, 5)
 
 
+def test_budget_counts_every_tuple_even_in_a_shard():
+    # 6^4 = 1,296 tuples stand behind the census; a shard keeps 216 of them
+    # but is still held to the whole count
+    for run in (
+        lambda: enumerate_census(3, 6, budget=1000, shard=(0, 6)),
+        lambda: verify_lemma_bounds(3, 6, budget=1000),
+    ):
+        with pytest.raises(BudgetExceeded) as exc:
+            run()
+        assert str(exc.value) == "(n/2)!^(d+1) = 1296 exceeds budget 1000; raise the budget"
+
+
 def test_all_perfect_matchings_counts():
     assert len(all_perfect_matchings(2)) == 1
     assert len(all_perfect_matchings(4)) == 3
@@ -218,6 +231,31 @@ def test_extension_bound_on_a_six_cycle():
     assert report.planar_extensions > 0
     for k, count in report.buckets.items():
         assert count <= report.bounds[k] == 2 ** (5 * 6) * 6 ** (1 - k)
+
+
+def _search_components(ms, n):
+    seen, components = set(), 0
+    for start in range(1, n + 1):
+        if start in seen:
+            continue
+        components += 1
+        stack = [start]
+        seen.add(start)
+        while stack:
+            v = stack.pop()
+            for m in ms:
+                if m[v - 1] not in seen:
+                    seen.add(m[v - 1])
+                    stack.append(m[v - 1])
+    return components
+
+
+def test_union_components_agrees_with_a_search():
+    for n in (2, 4, 6):
+        ms = all_perfect_matchings(n)
+        for r in (1, 2, 3):
+            for tup in itertools.product(ms, repeat=r):
+                assert _union_components(tup, n) == _search_components(tup, n)
 
 
 def test_extension_bound_input_checks():

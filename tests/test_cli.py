@@ -230,40 +230,9 @@ def test_census_output(capsys):
 
 def test_census_budget_exit(capsys):
     assert run(["census", "--d", "3", "--n", "6", "--budget", "10"]) == 64
-    assert "budget" in capsys.readouterr().err
-
-
-def _census_rows(argv, capsys):
-    assert run(argv) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[:2] == ["tuples: 16", "class,canonical,labelled"]
-    return [tuple(line.split(",")) for line in lines[2:]]
-
-
-def test_census_shards_add_up_to_the_census(capsys):
-    whole = _census_rows(["census", "--d", "3", "--n", "4"], capsys)
-    shards = [
-        _census_rows(["census", "--d", "3", "--n", "4", "--shard", f"{i}/2"], capsys)
-        for i in range(2)
-    ]
-    summed = [
-        (cls, str(int(a[1]) + int(b[1])), str(int(a[2]) + int(b[2])))
-        for (cls, *_), a, b in zip(whole, *shards)
-    ]
-    assert summed == whole
-    assert all(a != whole for a in shards)
-
-
-@pytest.mark.parametrize("spec", ["1", "x/2", "1/y", "", "1/2/3", "2/2", "1/0", "--shard=-1/2"])
-def test_census_rejects_bad_shard_specs(spec, capsys):
-    argv = ["census", "--d", "3", "--n", "4"]
-    argv += [spec] if spec.startswith("--") else ["--shard", spec]
-    try:
-        code = run(argv)
-    except SystemExit as exc:
-        code = exc.code
-    assert code == 64
-    assert "shard" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "budget" in err
+    assert "raise the budget" in err and "shard" not in err
 
 
 def test_census_emit_graphs(tmp_path, capsys):
