@@ -2,7 +2,7 @@
 
 The residues of a graph are the cells of a Δ-complex (one (|S|-1)-cell per
 colour set S and component of the residue on the other colours), so its
-homology is computable by integer row reduction with no floating point
+homology is computable by exact column reduction with no floating point
 anywhere.  The second half shows the honest limit of the method: a
 4-colour graph with no dipoles whose Betti numbers match the 3-sphere, where
 the verdict machinery reports Unknown rather than guessing.

@@ -52,6 +52,10 @@ CLASSES = ("all", "propertyP", "manifold", "sphere_yes", "sphere_unknown", "melo
 
 DEFAULT_BUDGET = 10**8
 
+# verify_extension_bound tries all (n-1)!! perfect matchings of [1..n]:
+# 135,135 at n=14 (seconds, tens of MB), 2,027,025 at n=16
+EXTENSION_MAX_N = 14
+
 
 def tuple_count(d: int, n: int) -> int:
     """Matching tuples over the canonical white set: (n/2)!^(d+1)."""
@@ -113,7 +117,7 @@ def _census_perms(d: int, n: int, budget: int) -> List[Tuple[int, ...]]:
     """Bijections from the white set onto the black set, sorted, for a checked size.
 
     The budget bounds the (n/2)!^(d+1) tuples the census stands for, not
-    the (n/2)!^d it visits, nor the share of them a shard keeps.
+    the (n/2)!^d it visits.
     """
     if n % 2 or n < 2:
         raise BadParams(f"n must be even and >= 2, got {n}")
@@ -132,7 +136,6 @@ def enumerate_census(
     n: int,
     classifier: Callable[[ColourfulGraph], FrozenSet[str]] = classify,
     budget: int = DEFAULT_BUDGET,
-    shard: Optional[Tuple[int, int]] = None,
     emit: Optional[Callable[[ColourfulGraph, FrozenSet[str]], None]] = None,
 ) -> CensusReport:
     """Classify all (n/2)!^(d+1) matching tuples over the canonical white set.
@@ -142,34 +145,23 @@ def enumerate_census(
     module docstring) and adds (n/2)! to every count.  emit, when given,
     is still called once per matching tuple: with each visited tuple's
     (n/2)! relabellings and the visited tuple's classes.
-
-    shard=(index, count) keeps only tuples whose second matching has
-    lexicographic position congruent to index mod count, which needs
-    0 <= index < count; shard reports merge by adding counts.
     """
     perms = _census_perms(d, n, budget)
-    seconds = perms
-    if shard is not None:
-        index, count = shard
-        if not 0 <= index < count:
-            raise BadParams(f"shard index must lie in [0, count), got {index}/{count}")
-        seconds = perms[index::count]
     weight = len(perms)
     relabellings = list(itertools.permutations(range(n // 2))) if emit is not None else ()
     counts: Dict[str, int] = {cls: 0 for cls in CLASSES}
     by_components: Dict[str, Dict[int, int]] = {cls: {} for cls in CLASSES}
-    for second in seconds:
-        for rest in itertools.product(perms, repeat=d - 1):
-            G = ColourfulGraph(d, (perms[0], second) + rest)
-            names = classifier(G)
-            comps = len(residues(G, G.colours).components)
-            for cls in names:
-                counts[cls] += weight
-                bc = by_components[cls]
-                bc[comps] = bc.get(comps, 0) + weight
-            for inv in relabellings:
-                # white w is relabelled p(w) where inv lists p^-1
-                emit(ColourfulGraph(d, [[m[i] for i in inv] for m in G.matchings]), names)
+    for rest in itertools.product(perms, repeat=d):
+        G = ColourfulGraph(d, (perms[0],) + rest)
+        names = classifier(G)
+        comps = len(residues(G, G.colours).components)
+        for cls in names:
+            counts[cls] += weight
+            bc = by_components[cls]
+            bc[comps] = bc.get(comps, 0) + weight
+        for inv in relabellings:
+            # white w is relabelled p(w) where inv lists p^-1
+            emit(ColourfulGraph(d, [[m[i] for i in inv] for m in G.matchings]), names)
     return CensusReport(d, n, counts, by_components)
 
 
@@ -360,28 +352,28 @@ def _union_components(ms: Sequence[Sequence[int]], n: int) -> int:
     return components
 
 
-def _pair_cycles(m1: Sequence[int], m2: Sequence[int], n: int) -> int:
-    """Cycles of the union of two perfect matchings of [1..n]."""
-    return _union_components((m1, m2), n)
-
-
-def _is_bipartite_union(ms: Sequence[Sequence[int]], n: int) -> bool:
-    colour = [None] * (n + 1)
+def _bipartite_components(ms: Sequence[Sequence[int]], n: int) -> Optional[int]:
+    """Components of the union of the matchings ms on [1..n], or None if
+    the union has an odd cycle, from one 2-colouring search."""
+    side = [-1] * (n + 1)
+    components = 0
     for start in range(1, n + 1):
-        if colour[start] is not None:
+        if side[start] >= 0:
             continue
-        colour[start] = 0
+        components += 1
+        side[start] = 0
         stack = [start]
         while stack:
             v = stack.pop()
+            other = side[v] ^ 1
             for m in ms:
                 u = m[v - 1]
-                if colour[u] is None:
-                    colour[u] = colour[v] ^ 1
+                if side[u] < 0:
+                    side[u] = other
                     stack.append(u)
-                elif colour[u] == colour[v]:
-                    return False
-    return True
+                elif side[u] != other:
+                    return None
+    return components
 
 
 @dataclass
@@ -397,9 +389,7 @@ class ExtensionBoundReport:
     planar_extensions: int
 
 
-def verify_extension_bound(
-    m1: Sequence[int], m2: Sequence[int], max_n: int = 10
-) -> ExtensionBoundReport:
+def verify_extension_bound(m1: Sequence[int], m2: Sequence[int]) -> ExtensionBoundReport:
     """Count planar 3-colourful completions of two matchings, check the bound.
 
     The base C is the union of two perfect matchings of [1..n] with c
@@ -407,11 +397,12 @@ def verify_extension_bound(
     3-colourful graph; it counts as planar when all its components embed
     with genus 0, detected by the exact cycle-count identity
     total bicoloured cycles == 2k + n/2 (k components of the extension).
-    Each bucket count must be at most 2^(5n) * n^(c-k).
+    Each bucket count must be at most 2^(5n) * n^(c-k).  Every perfect
+    matching of [1..n] is tried, so n is capped at EXTENSION_MAX_N.
     """
     n = len(m1)
-    if n > 2 * max_n:
-        raise BudgetExceeded(f"n={n} above the small-instance limit {2 * max_n}")
+    if n > EXTENSION_MAX_N:
+        raise BudgetExceeded(f"n={n} above the small-instance limit {EXTENSION_MAX_N}")
     m1 = _check_involution(m1, n, "m1")
     m2 = _check_involution(m2, n, "m2")
     c = _union_components((m1, m2), n)
@@ -419,11 +410,11 @@ def verify_extension_bound(
     tried = planar = 0
     for m3 in _matchings_of(n):
         tried += 1
-        if not _is_bipartite_union((m1, m2, m3), n):
+        k = _bipartite_components((m1, m2, m3), n)
+        if k is None:
             continue
-        k = _union_components((m1, m2, m3), n)
         # the (m1, m2) cycles are the base's components
-        cycles = c + _pair_cycles(m1, m3, n) + _pair_cycles(m2, m3, n)
+        cycles = c + _union_components((m1, m3), n) + _union_components((m2, m3), n)
         if cycles == 2 * k + n // 2:
             planar += 1
             buckets[k] = buckets.get(k, 0) + 1

@@ -11,7 +11,7 @@ space is a d-sphere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Tuple
 
 from .errors import Disconnected, InvalidMove
 from .graph import ColourfulGraph, is_connected
@@ -35,7 +35,6 @@ class ReductionTrace:
     moves: Tuple[DipoleMove, ...]
     terminal: ColourfulGraph
     reached_dipole: bool
-    search_exhausted: bool = False
 
     def moves_text(self) -> str:
         return " ".join(
@@ -114,19 +113,12 @@ def replay(G: ColourfulGraph, moves: Iterable[DipoleMove]) -> ColourfulGraph:
     return G
 
 
-def melonic_reduce(
-    G: ColourfulGraph,
-    exhaustive: bool = False,
-    depth_limit: Optional[int] = None,
-    max_states: int = 64,
-) -> ReductionTrace:
+def melonic_reduce(G: ColourfulGraph) -> ReductionTrace:
     """Reduce greedily (lowest white vertex first) until stuck or terminal.
 
     reached_dipole=True certifies the encoded space is a d-sphere.  A failed
     greedy pass proves nothing: move orders are not known to be confluent,
-    so callers must treat it as inconclusive.  With exhaustive=True a
-    backtracking search over move orders runs after the greedy pass, capped
-    at depth_limit moves (default n/2) and max_states visited graphs.
+    so callers must treat it as inconclusive.
     """
     if not is_connected(G):
         raise Disconnected("melonic reduction is defined for connected graphs")
@@ -139,37 +131,4 @@ def melonic_reduce(
         move = found[0]
         moves.append(move)
         g = remove_dipole(g, move)
-    if g.half == 1 or not exhaustive:
-        return ReductionTrace(tuple(moves), g, g.half == 1)
-    return _exhaustive_reduce(G, depth_limit, max_states)
-
-
-def _exhaustive_reduce(
-    G: ColourfulGraph, depth_limit: Optional[int], max_states: int
-) -> ReductionTrace:
-    if depth_limit is None:
-        depth_limit = G.n // 2
-    seen = {G}
-    states = 0
-    exhausted = False
-    # stack holds (graph, moves-so-far); depth-first over move orders
-    stack: List[Tuple[ColourfulGraph, Tuple[DipoleMove, ...]]] = [(G, ())]
-    last = (G, ())
-    while stack:
-        g, path = stack.pop()
-        last = (g, path)
-        if g.half == 1:
-            return ReductionTrace(path, g, True)
-        states += 1
-        if states > max_states:
-            exhausted = True
-            break
-        if len(path) >= depth_limit:
-            continue
-        for move in reversed(find_dipoles(g)):
-            nxt = remove_dipole(g, move)
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append((nxt, path + (move,)))
-    g, path = last
-    return ReductionTrace(path, g, g.half == 1, search_exhausted=exhausted)
+    return ReductionTrace(tuple(moves), g, g.half == 1)

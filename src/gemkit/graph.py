@@ -318,13 +318,6 @@ class KappaTable:
         for bits in sorted(self._kappa, key=lambda b: (b.bit_count(), b)):
             yield ColourSet.from_bits(bits), self._kappa[bits]
 
-    def kappa_r(self, I: ColourSetLike, r: int) -> int:
-        """Sum of kappa(J) over r-subsets J of I."""
-        cs = as_colour_set(I)
-        if r < 0 or r > len(cs):
-            raise RangeError(f"r={r} outside [0..{len(cs)}]")
-        return sum(self._kappa[sub.bits] for sub in cs.subsets(r))
-
 
 def kappa_table(G: ColourfulGraph) -> KappaTable:
     """Component counts for all 2^(d+1) colour subsets."""

@@ -11,16 +11,17 @@ simplicial homology equals that of the space encoded by G_I (Hatcher,
 Algebraic Topology, §2.1), and it needs one cell per residue, where the
 barycentric subdivision needs about n * |I|! top simplices.
 
-Betti numbers are computed from boundary-matrix ranks by exact sparse
-elimination over the rationals (pivots are chosen on unit entries, which
-keeps the arithmetic integral in practice), so no float or modular
+Betti numbers are computed from boundary-matrix ranks by exact column
+reduction over the rationals: each column is reduced against the earlier
+columns until no earlier column owns its lowest row.  A +-1 pivot keeps
+the arithmetic integral; reduced columns can grow larger entries, and
+such a pivot is divided out with Fraction.  No float or modular
 arithmetic is involved.  The shape of every boundary matrix and
 boundary^2 = 0 are checked on every call.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -154,82 +155,26 @@ def _check_boundaries(K: OrderComplex) -> None:
 def _sparse_rank(columns: Sequence[Column]) -> int:
     """Exact rank of a sparse integer matrix given by columns.
 
-    Pivots are chosen on +-1 entries while any remain (integral row
-    operations), then on arbitrary entries with Fraction arithmetic.
-    Column/row choices favour sparsity and are deterministic.
+    Column reduction: while an earlier reduced column owns the lowest
+    (largest) row of the current column, subtract the multiple of it that
+    clears that row.  A +-1 pivot keeps the arithmetic integral; any other
+    pivot uses Fraction.  The rank is the number of rows owned at the end.
     """
-    rows: Dict[int, Dict[int, object]] = {}
-    cols: Dict[int, set] = {}
-    for c, col in enumerate(columns):
-        for r, val in col:
-            rows.setdefault(r, {})[c] = val
-            cols.setdefault(c, set()).add(r)
-
-    def col_state(c: int) -> Tuple[int, int]:
-        # (1 if the column lacks a +-1 entry, current size); smaller is better
-        size = len(cols[c])
-        for r in cols[c]:
-            if rows[r][c] in (1, -1):
-                return (0, size)
-        return (1, size)
-
-    # lazy heap over columns: stale keys are refreshed when popped
-    heap = [col_state(c) + (c,) for c in cols]
-    heapq.heapify(heap)
-    rank = 0
-    while cols:
-        if not heap:
-            heap = [col_state(c) + (c,) for c in cols]
-            heapq.heapify(heap)
-        key = heapq.heappop(heap)
-        c = key[2]
-        if c not in cols:
-            continue
-        current = col_state(c)
-        if current != key[:2]:
-            heapq.heappush(heap, current + (c,))
-            continue
-        # inside the column prefer unit entries, then the sparsest row
-        best = None
-        for r in cols[c]:
-            val = rows[r][c]
-            row_key = (val not in (1, -1), len(rows[r]), r)
-            if best is None or row_key < best[0]:
-                best = (row_key, r)
-        r = best[1]
-        pivot_val = rows[r][c]
-        targets = [r2 for r2 in cols[c] if r2 != r]
-        for r2 in targets:
-            if pivot_val == 1:
-                factor = rows[r2][c]
-            elif pivot_val == -1:
-                factor = -rows[r2][c]
-            else:
-                factor = Fraction(rows[r2][c], 1) / pivot_val
-            row2 = rows[r2]
-            for cc, val in rows[r].items():
-                new = row2.get(cc, 0) - factor * val
+    owner: Dict[int, Dict[int, object]] = {}
+    for col in columns:
+        v: Dict[int, object] = dict(col)
+        while v:
+            low = max(v)
+            pivot = owner.get(low)
+            if pivot is None:
+                owner[low] = v
+                break
+            p = pivot[low]
+            factor = v[low] * p if p in (1, -1) else Fraction(v[low]) / p
+            for r, x in pivot.items():
+                new = v.get(r, 0) - factor * x
                 if new:
-                    if cc not in row2:
-                        if cc not in cols:
-                            # revived column: hand it back to the heap
-                            cols[cc] = set()
-                            heapq.heappush(heap, (0, 0, cc))
-                        cols[cc].add(r2)
-                    row2[cc] = new
+                    v[r] = new
                 else:
-                    if cc in row2:
-                        del row2[cc]
-                        cols[cc].discard(r2)
-                        if not cols[cc]:
-                            del cols[cc]
-            if not row2:
-                del rows[r2]
-        for cc in rows[r]:
-            if cc in cols:
-                cols[cc].discard(r)
-                if not cols[cc]:
-                    del cols[cc]
-        del rows[r]
-        rank += 1
-    return rank
+                    del v[r]
+    return len(owner)

@@ -23,7 +23,7 @@ from gemkit import (
     verify_lemma_bounds,
     vn_experiment,
 )
-from gemkit.census import _union_components
+from gemkit.census import _bipartite_components, _union_components
 from census_oracle import full_census, full_lemma_bounds
 from conftest import (
     double_dipole_graph,
@@ -117,29 +117,6 @@ def test_census_rows_are_stable():
     assert all(r.count(",") == 2 for r in rows)
 
 
-def test_shards_partition_the_census():
-    # more shards than second matchings (2 at n=4, 6 at n=6) leave some empty
-    for d, n, count in ((3, 4, 2), (3, 4, 3), (2, 6, 2), (2, 6, 4), (2, 6, 7)):
-        full = enumerate_census(d, n)
-        merged = {cls: 0 for cls in CLASSES}
-        merged_components = {cls: {} for cls in CLASSES}
-        for index in range(count):
-            part = enumerate_census(d, n, shard=(index, count))
-            for cls, cnt in part.counts.items():
-                merged[cls] += cnt
-            for cls, bc in part.by_components.items():
-                for comps, cnt in bc.items():
-                    merged_components[cls][comps] = merged_components[cls].get(comps, 0) + cnt
-        assert merged == full.counts, (d, n, count)
-        assert merged_components == full.by_components, (d, n, count)
-
-
-@pytest.mark.parametrize("shard", [(0, 0), (5, 2), (2, 2), (-1, 2), (1, -3)])
-def test_census_rejects_bad_shards(shard):
-    with pytest.raises(BadParams):
-        enumerate_census(3, 4, shard=shard)
-
-
 def test_census_emit_callback():
     seen = []
     enumerate_census(3, 4, emit=lambda G, names: seen.append((G, names)))
@@ -175,10 +152,10 @@ def test_census_budget():
 
 
 def test_budget_counts_every_tuple_even_in_a_shard():
-    # 6^4 = 1,296 tuples stand behind the census; a shard keeps 216 of them
-    # but is still held to the whole count
+    # 6^4 = 1,296 tuples stand behind the census; the walk visits 216 of
+    # them but is held to the whole count
     for run in (
-        lambda: enumerate_census(3, 6, budget=1000, shard=(0, 6)),
+        lambda: enumerate_census(3, 6, budget=1000),
         lambda: verify_lemma_bounds(3, 6, budget=1000),
     ):
         with pytest.raises(BudgetExceeded) as exc:
@@ -250,19 +227,33 @@ def _search_components(ms, n):
     return components
 
 
+def _has_two_colouring(ms, n):
+    # vertex 1 may keep side 0: flipping every side preserves a colouring
+    return any(
+        all(sides[v - 1] != sides[m[v - 1] - 1] for m in ms for v in range(1, n + 1))
+        for sides in itertools.product((0, 1), repeat=n)
+        if sides[0] == 0
+    )
+
+
 def test_union_components_agrees_with_a_search():
     for n in (2, 4, 6):
         ms = all_perfect_matchings(n)
         for r in (1, 2, 3):
             for tup in itertools.product(ms, repeat=r):
-                assert _union_components(tup, n) == _search_components(tup, n)
+                expected = _search_components(tup, n)
+                assert _union_components(tup, n) == expected
+                bipartite = _has_two_colouring(tup, n)
+                assert _bipartite_components(tup, n) == (expected if bipartite else None)
 
 
 def test_extension_bound_input_checks():
     with pytest.raises(BadParams):
         verify_extension_bound((2, 1, 3), (2, 1, 3))
-    with pytest.raises(BudgetExceeded):
-        verify_extension_bound((2, 1), (2, 1), max_n=0)
+    # n=16 has 2,027,025 third matchings; refused before any is built
+    pairs = tuple(v + 1 if v % 2 else v - 1 for v in range(1, 17))
+    with pytest.raises(BudgetExceeded, match="n=16 above the small-instance limit 14"):
+        verify_extension_bound(pairs, pairs)
 
 
 # ------------------------------------------------------- cycle statistics

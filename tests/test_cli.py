@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import gemkit
-from gemkit import write_cgf
+from gemkit import ColourfulGraph, write_cgf
 from gemkit.cli import main, run
 from conftest import (
     circle_graph,
@@ -265,6 +265,14 @@ def test_bound_check(tmp_path, capsys):
 
 def test_bound_check_requires_two_matchings(tetra_file, capsys):
     assert run(["bound-check", "--cgf2", tetra_file]) == 64
+
+
+def test_bound_check_refuses_a_16_vertex_base(tmp_path, capsys):
+    path = tmp_path / "base16.cgf"
+    blacks = tuple(range(9, 17))
+    path.write_text(write_cgf(ColourfulGraph(1, (blacks, blacks))))
+    assert run(["bound-check", "--cgf2", str(path)]) == 64
+    assert "n=16 above the small-instance limit 14" in capsys.readouterr().err
 
 
 def test_stats_vn(capsys):

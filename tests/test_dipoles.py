@@ -95,18 +95,6 @@ def test_reduction_requires_connected_input():
         melonic_reduce(double_dipole_graph())
 
 
-def test_exhaustive_mode_confirms_stuck_state():
-    trace = melonic_reduce(split_pair_graph(), exhaustive=True)
-    assert not trace.reached_dipole
-    # the search ran out of moves, not out of budget
-    assert not trace.search_exhausted
-
-
-def test_exhaustive_mode_agrees_on_melonic_input():
-    trace = melonic_reduce(two_tetrahedra_graph(), exhaustive=True)
-    assert trace.reached_dipole
-
-
 def test_dipole_move_preserves_betti_vector():
     G = two_tetrahedra_graph()
     before = betti_numbers(order_complex(G, G.colours)).betti

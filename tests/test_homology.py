@@ -1,9 +1,11 @@
 """Coloured Δ-complexes and exact Betti numbers."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gemkit import (
     BettiVector,
@@ -17,6 +19,7 @@ from gemkit import (
     residues,
     sphere_vector,
 )
+from gemkit.homology import _sparse_rank
 from barycentric import barycentric_complex
 from conftest import (
     circle_graph,
@@ -180,3 +183,54 @@ def test_delta_complex_matches_barycentric_oracle(G):
             assert K.f_counts() == f_vector(G, I)
             oracle = barycentric_complex(G, I)
             assert betti_numbers(K).betti == betti_numbers(oracle).betti
+
+
+def _dense_rank(columns, n_rows):
+    """Rank by Gaussian elimination on a dense Fraction matrix."""
+    rows = [[Fraction(0)] * len(columns) for _ in range(n_rows)]
+    for c, col in enumerate(columns):
+        for r, x in col:
+            rows[r][c] += x
+    rank = 0
+    for c in range(len(columns)):
+        pivot = next((r for r in range(rank, n_rows) if rows[r][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, n_rows):
+            factor = rows[r][c] / rows[rank][c]
+            if factor:
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@settings(max_examples=40, deadline=None)
+@given(colourful_graphs(max_d=5, max_half=6))
+def test_rank_matches_dense_elimination_on_boundaries(G):
+    for r in range(1, G.d + 2):
+        for I in itertools.combinations(G.colours, r):
+            K = order_complex(G, I)
+            f = K.f_counts()
+            for k in range(1, K.dim + 1):
+                assert _sparse_rank(K.boundary(k)) == _dense_rank(K.boundary(k), f[k - 1])
+
+
+@st.composite
+def integer_matrices(draw):
+    """Columns of a small matrix with entries in 0, +-1, +-2, +-3."""
+    n_rows = draw(st.integers(1, 6))
+    n_cols = draw(st.integers(1, 6))
+    entry = st.sampled_from((0, 0, 1, -1, 2, -2, 3, -3))
+    columns = []
+    for _ in range(n_cols):
+        entries = [draw(entry) for _ in range(n_rows)]
+        columns.append([(r, x) for r, x in enumerate(entries) if x])
+    return columns, n_rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices())
+def test_rank_matches_dense_elimination_off_unit_pivots(matrix):
+    columns, n_rows = matrix
+    assert _sparse_rank(columns) == _dense_rank(columns, n_rows)
