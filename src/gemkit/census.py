@@ -70,15 +70,15 @@ def classify(G: ColourfulGraph) -> FrozenSet[str]:
     if is_manifold(G).status is Status.YES:
         names.add("manifold")
     if is_connected(G):
-        if melonic_reduce(G).reached_dipole:
-            names.add("melonic")
+        verdict = is_sphere(G)
+        if verdict.status is Status.YES:
             names.add("sphere_yes")
-        else:
-            status = is_sphere(G).status
-            if status is Status.YES:
-                names.add("sphere_yes")
-            elif status is Status.UNKNOWN:
-                names.add("sphere_unknown")
+            # d >= 3 answers Yes only through the reduction; d <= 2 by genus alone
+            melonic = verdict.certificate.startswith("melonic trace")
+            if melonic or melonic_reduce(G).reached_dipole:
+                names.add("melonic")
+        elif verdict.status is Status.UNKNOWN:
+            names.add("sphere_unknown")
     return frozenset(names)
 
 
@@ -486,7 +486,7 @@ class StatsReport:
 def vn_experiment(
     ks: Sequence[int], samples: int, seed: int = 0, d: int = 3
 ) -> StatsReport:
-    """Sample glued graphs, record complex vertex counts and cycle statistics.
+    """Vertex counts and cycle statistics of glued constructions, not uniform manifolds.
 
     Built graphs need valid (sigma, tau) pairs (parity-preserving when d is
     odd), so the per-row cycle mean over those pairs is reported separately

@@ -16,12 +16,13 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .dipoles import melonic_reduce
 from .errors import (
     Disconnected,
     InvalidColourSet,
+    InvariantViolated,
     OddDimension,
     PreconditionFailed,
 )
@@ -31,6 +32,7 @@ from .graph import (
     _check_colours,
     _check_component,
     genus_of_residue,
+    has_property_P,
     is_connected,
     kappa_r,
     residue_subgraph,
@@ -80,17 +82,17 @@ def _unknown(reason: str) -> TopologyVerdict:
     return TopologyVerdict(Status.UNKNOWN, reason)
 
 
-def _positive_genus_witness(
-    G: ColourfulGraph,
-) -> Optional[Tuple[Tuple[int, ...], int, int]]:
-    """First 3-coloured residue component of positive genus, or None."""
+def _positive_genus_witness(G: ColourfulGraph) -> str:
+    """Certificate naming the first 3-residue component of positive genus.
+
+    Callers run it only once has_property_P has failed, so one exists.
+    """
     for I in itertools.combinations(range(1, G.d + 2), 3):
-        part = residues(G, I)
-        for comp in part.components:
-            emb = genus_of_residue(G, I, comp)
-            if emb.genus > 0:
-                return (I, comp[0], emb.genus)
-    return None
+        for comp in residues(G, I).components:
+            g = genus_of_residue(G, I, comp).genus
+            if g > 0:
+                return f"genus witness ({I}, {comp[0]}, {g})"
+    raise InvariantViolated("property P fails but every 3-residue component has genus 0")
 
 
 def is_sphere(G: ColourfulGraph) -> TopologyVerdict:
@@ -114,10 +116,8 @@ def is_sphere(G: ColourfulGraph) -> TopologyVerdict:
     if trace.reached_dipole:
         moves = trace.moves_text() or "(already terminal)"
         return _yes(f"melonic trace {moves}")
-    witness = _positive_genus_witness(G)
-    if witness is not None:
-        I, v, g = witness
-        return _no(f"genus witness ({I}, {v}, {g})")
+    if not has_property_P(G):
+        return _no(_positive_genus_witness(G))
     K = order_complex(G, range(1, G.d + 2))
     b = betti_numbers(K)
     if b.betti != sphere_vector(G.d):
@@ -137,15 +137,13 @@ def is_manifold(G: ColourfulGraph) -> TopologyVerdict:
     """
     if G.d <= 2:
         return _yes(f"every {G.d + 1}-colourful graph encodes a closed {G.d}-manifold")
-    witness = _positive_genus_witness(G)
-    if witness is not None:
-        I, v, g = witness
-        return _no(f"genus witness ({I}, {v}, {g})")
+    if not has_property_P(G):
+        return _no(_positive_genus_witness(G))
     if G.d == 3:
         return _yes("every 3-residue component has genus 0")
 
-    # necessary component-count identity on even-dimensional residues
-    for m in range(3, G.d + 1, 2):
+    # necessary identity on even-dimensional residues; |I| = 3 is property P
+    for m in range(5, G.d + 1, 2):
         for I in itertools.combinations(range(1, G.d + 2), m):
             lhs, rhs = _euler_poincare_sides(G, I)
             if lhs != rhs:
@@ -154,19 +152,16 @@ def is_manifold(G: ColourfulGraph) -> TopologyVerdict:
                     f"alternating sum {lhs} != {rhs}"
                 )
 
-    stuck = None
-    for size in range(4, G.d + 1):
-        for I in itertools.combinations(range(1, G.d + 2), size):
-            part = residues(G, I)
-            for comp in part.components:
-                sub = residue_subgraph(G, I, comp)
-                if not melonic_reduce(sub).reached_dipole:
-                    stuck = (I, comp[0])
-                    break
-            if stuck:
-                break
-        if stuck:
-            break
+    stuck = next(
+        (
+            (I, comp[0])
+            for size in range(4, G.d + 1)
+            for I in itertools.combinations(range(1, G.d + 2), size)
+            for comp in residues(G, I).components
+            if not melonic_reduce(residue_subgraph(G, I, comp)).reached_dipole
+        ),
+        None,
+    )
     if stuck is None:
         return _yes(
             f"all residues of sizes 3..{G.d} certified spheres "

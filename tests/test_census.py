@@ -12,6 +12,7 @@ from gemkit import (
     CLASSES,
     RangeError,
     all_perfect_matchings,
+    census,
     classify,
     compose_inverse,
     enumerate_census,
@@ -19,6 +20,7 @@ from gemkit import (
     harmonic_number,
     mean_cycles_uniform,
     tuple_count,
+    verdicts,
     verify_extension_bound,
     verify_lemma_bounds,
     vn_experiment,
@@ -53,6 +55,31 @@ def test_classify_known_graphs():
     assert classify(double_dipole_graph()) == frozenset(
         {"all", "propertyP", "manifold"}
     )
+
+
+@pytest.mark.parametrize("d, n", [(2, 6), (3, 6)])
+def test_classify_reduces_at_most_once(monkeypatch, d, n):
+    # is_sphere's trace already says whether G is melonic at d >= 3
+    calls = []
+    reduce = census.melonic_reduce
+
+    def counted(G):
+        calls.append(G)
+        return reduce(G)
+
+    monkeypatch.setattr(census, "melonic_reduce", counted)
+    monkeypatch.setattr(verdicts, "melonic_reduce", counted)
+    per_graph = []
+
+    def classifier(G):
+        before = len(calls)
+        names = census.classify(G)
+        per_graph.append(len(calls) - before)
+        return names
+
+    report = enumerate_census(d, n, classifier=classifier)
+    assert report.counts["melonic"] > 0
+    assert max(per_graph) == 1
 
 
 def test_census_smallest_size():

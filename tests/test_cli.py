@@ -4,6 +4,7 @@ import importlib.metadata
 import os
 import shlex
 import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import gemkit
-from gemkit import ColourfulGraph, write_cgf
+from gemkit import ColourfulGraph, random_graph, write_cgf
 from gemkit.cli import main, run
 from conftest import (
     circle_graph,
@@ -150,6 +151,13 @@ def test_check_sphere_rejects_disconnected(tmp_path, capsys):
     path = tmp_path / "dd.cgf"
     path.write_text(write_cgf(double_dipole_graph()))
     assert run(["check-sphere", str(path)]) == 64
+    assert "connected" in capsys.readouterr().err
+
+
+def test_reduce_rejects_disconnected(tmp_path, capsys):
+    path = tmp_path / "dd.cgf"
+    path.write_text(write_cgf(double_dipole_graph()))
+    assert run(["reduce", str(path)]) == 64
     assert "connected" in capsys.readouterr().err
 
 
@@ -320,6 +328,24 @@ def test_console_script_pipeline():
     )
     assert proc.returncode == 0
     assert "manifold: yes" in proc.stdout
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_closed_stdout_ends_quietly_by_sigpipe(tmp_path):
+    # the reader has gone before the first write, as `head` has in
+    # `gemkit genus F | head -n 1` once it has its line
+    path = tmp_path / "big.cgf"
+    path.write_text(write_cgf(random_graph(9, 400, seed=1)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gemkit", "genus", str(path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_checkout_env(),
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == -signal.SIGPIPE
+    assert b"Traceback" not in err
 
 
 def test_console_script_declaration():

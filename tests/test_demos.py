@@ -1,0 +1,28 @@
+"""Every quick demo runs cleanly against the checkout's sources."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# cycle_statistics.py samples for about 7 s, too long for the tier-1 run
+SLOW = {"cycle_statistics.py"}
+DEMOS = sorted(p for p in (ROOT / "demos").glob("*.py") if p.name not in SLOW)
+
+
+def test_demos_are_found():
+    assert len(DEMOS) >= 5
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs_cleanly(demo):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

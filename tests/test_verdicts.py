@@ -9,6 +9,7 @@ from gemkit import (
     ConstructionParams,
     Disconnected,
     InvalidColourSet,
+    InvariantViolated,
     NotAComponent,
     OddDimension,
     PreconditionFailed,
@@ -23,6 +24,7 @@ from gemkit import (
     lemma1_witness,
     lemma2_witness,
 )
+from gemkit.verdicts import _positive_genus_witness
 from conftest import (
     circle_graph,
     dipole_graph,
@@ -73,6 +75,13 @@ def test_no_by_genus_witness():
     v = is_sphere(torus_in_d3())
     assert v.status is Status.NO
     assert v.certificate == "genus witness ((1, 2, 3), 1, 1)"
+
+
+def test_genus_witness_scan_checks_property_P():
+    # the scan runs only after property P's identity failed; a planar
+    # graph reaching it is a library bug, not a No
+    with pytest.raises(InvariantViolated):
+        _positive_genus_witness(two_tetrahedra_graph())
 
 
 def test_no_by_betti_vector():
