@@ -6,15 +6,36 @@ pair and splices the two free-colour edges into one; the encoded space is
 unchanged up to homeomorphism when the graph stays nontrivial.  A graph
 reducible to the 2-vertex dipole by such moves is called melonic, and its
 space is a d-sphere.
+
+Every move goes through one in-place engine, ``_Cancellation``.  It keeps
+each matching and its inverse as a mutable map in the graph's own vertex
+labels, so a cancellation costs O(d): it deletes the pair's 2(d+1) entries
+and splices the free-colour edge.  Only the white at the far end of the
+spliced edge changes its neighbours, so only it can change dipole status,
+and the greedy reduction re-checks it alone; a min-heap of candidate
+whites gives the lowest white with a dipole.  Each move also bisects the
+sorted lists of alive whites and blacks, in O(log n), and deletes from
+them (a memory shift).  A reduction of n vertices scans them once, in
+O(nd), and builds one ColourfulGraph, at the end; the rebuilding loop it
+replaced cost O(n^2 d).
+
+Moves are reported in the coordinates of the graph as relabelled by the
+preceding moves (whites 1..n/2, blacks n/2+1..n, each in label order).
+That relabelling preserves the order of the surviving vertices, so "lowest
+white, then lowest black" picks the same pair in either labelling, and a
+move's coordinates are the positions of its vertices among those still
+alive.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple
+from heapq import heappop, heappush
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import Disconnected, InvalidMove
-from .graph import ColourfulGraph, is_connected
+from .graph import ColourfulGraph, ColourSetLike, is_connected
 
 
 @dataclass(frozen=True, order=True)
@@ -42,26 +63,115 @@ class ReductionTrace:
         )
 
 
+class _Cancellation:
+    """Matchings under in-place dipole cancellation.
+
+    fwd[i] maps each alive white to its black along the i-th colour, inv[i]
+    maps each alive black back; whites and blacks list the alive vertices
+    in ascending label order.  Colours are indexed by position, 0-based.
+    """
+
+    __slots__ = ("d", "fwd", "inv", "whites", "blacks")
+
+    def __init__(self, fwd: List[Dict[int, int]], whites: List[int], blacks: List[int]):
+        self.d = len(fwd) - 1
+        self.fwd = fwd
+        self.inv = [dict(zip(m.values(), m)) for m in fwd]
+        self.whites = whites
+        self.blacks = blacks
+
+    @classmethod
+    def of_graph(cls, G: ColourfulGraph) -> "_Cancellation":
+        whites = list(range(1, G.half + 1))
+        fwd = [dict(zip(whites, m)) for m in G.matchings]
+        return cls(fwd, whites, list(range(G.half + 1, G.n + 1)))
+
+    @classmethod
+    def of_residue(
+        cls, G: ColourfulGraph, colours: Iterable[int], component: Sequence[int]
+    ) -> "_Cancellation":
+        """The residue component in G's labels; component sorted ascending."""
+        k = bisect_left(component, G.half + 1)
+        whites = list(component[:k])
+        idx = [w - 1 for w in whites]
+        fwd = [dict(zip(whites, map(G.matchings[c - 1].__getitem__, idx))) for c in colours]
+        return cls(fwd, whites, list(component[k:]))
+
+    def dipoles_at(self, w: int) -> List[Tuple[int, int]]:
+        """(black, free colour index) of each dipole at white w, black ascending.
+
+        Two dipoles share a white only when d = 1.
+        """
+        ends = [m[w] for m in self.fwd]
+        distinct = set(ends)
+        if len(distinct) != 2:
+            return []
+        lo, hi = sorted(distinct)
+        at_lo = ends.count(lo)
+        found = []
+        if at_lo == self.d:
+            found.append((lo, ends.index(hi)))
+        if len(ends) - at_lo == self.d:
+            found.append((hi, ends.index(lo)))
+        return found
+
+    def cancel(self, w: int, b: int, free: int) -> int:
+        """Delete the dipole (w, b), splice its free-colour edges, return the
+        white now holding the spliced edge."""
+        fwd, inv = self.fwd, self.inv
+        b_far = fwd[free][w]
+        w_far = inv[free][b]
+        for m in fwd:
+            del m[w]
+        for m in inv:
+            del m[b]
+        fwd[free][w_far] = b_far
+        inv[free][b_far] = w_far
+        del self.whites[bisect_left(self.whites, w)]
+        del self.blacks[bisect_left(self.blacks, b)]
+        return w_far
+
+    def reduce(self) -> List[Tuple[int, int, int]]:
+        """Cancel greedily, lowest white then lowest black, until stuck or
+        terminal; the moves as relabelled (white, black, free colour)."""
+        moves = []
+        heap = list(self.whites)  # ascending, so already a heap
+        while heap and len(self.whites) > 1:
+            w = heappop(heap)
+            if w not in self.fwd[0]:  # a white can be queued twice, then cancelled
+                continue
+            found = self.dipoles_at(w)
+            if not found:
+                continue
+            b, free = found[0]
+            half = len(self.whites)
+            white = bisect_left(self.whites, w) + 1
+            moves.append((white, half + bisect_left(self.blacks, b) + 1, free + 1))
+            w_far = self.cancel(w, b, free)
+            if self.dipoles_at(w_far):
+                heappush(heap, w_far)
+        return moves
+
+    def graph(self) -> ColourfulGraph:
+        black_id = {b: i for i, b in enumerate(self.blacks, start=len(self.whites) + 1)}
+        return ColourfulGraph(
+            self.d, [[black_id[m[w]] for w in self.whites] for m in self.fwd]
+        )
+
+
 def find_dipoles(G: ColourfulGraph) -> List[DipoleMove]:
     """All (white, black) pairs joined by exactly d parallel edges.
 
     The 2-vertex graph is terminal rather than a move, so it yields none.
     """
-    moves = []
     if G.half < 2:
-        return moves
-    for w in range(1, G.half + 1):
-        partners: dict = {}
-        for c in range(1, G.d + 2):
-            partners.setdefault(G.partner(w, c), []).append(c)
-        for b in sorted(partners):
-            colours = partners[b]
-            if len(colours) == G.d:
-                free = next(
-                    c for c in range(1, G.d + 2) if c not in colours
-                )
-                moves.append(DipoleMove(w, b, free))
-    return moves
+        return []
+    engine = _Cancellation.of_graph(G)
+    return [
+        DipoleMove(w, b, free + 1)
+        for w in engine.whites
+        for b, free in engine.dipoles_at(w)
+    ]
 
 
 def remove_dipole(G: ColourfulGraph, move: DipoleMove) -> ColourfulGraph:
@@ -70,47 +180,25 @@ def remove_dipole(G: ColourfulGraph, move: DipoleMove) -> ColourfulGraph:
     The result is relabelled canonically: whites above the removed white
     shift down by one, likewise black indices.
     """
-    w, b, free = move.white_vertex, move.black_vertex, move.free_colour
-    half = G.half
-    if G.half < 2:
-        raise InvalidMove("the 2-vertex dipole is terminal")
-    if not (1 <= w <= half and half + 1 <= b <= G.n and 1 <= free <= G.d + 1):
-        raise InvalidMove(f"move {move} out of range for n={G.n}")
-    colours = [c for c in range(1, G.d + 2) if G.partner(w, c) == b]
-    if len(colours) != G.d or free in colours:
-        raise InvalidMove(f"{(w, b)} is not a dipole with free colour {free}")
-
-    b_prime = G.partner(w, free)
-    w_prime = G.inverse(free)[b - half - 1]
-    beta = b - half
-
-    def new_white(w0: int) -> int:
-        return w0 - (w0 > w)
-
-    def new_black(b0: int) -> int:
-        idx = b0 - half
-        return (half - 1) + idx - (idx > beta)
-
-    matchings = []
-    for c in range(1, G.d + 2):
-        m = G.matchings[c - 1]
-        row = []
-        for w0 in range(1, half + 1):
-            if w0 == w:
-                continue
-            if c == free and w0 == w_prime:
-                row.append(new_black(b_prime))
-            else:
-                row.append(new_black(m[w0 - 1]))
-        matchings.append(row)
-    return ColourfulGraph(G.d, matchings)
+    return replay(G, (move,))
 
 
 def replay(G: ColourfulGraph, moves: Iterable[DipoleMove]) -> ColourfulGraph:
     """Apply a move sequence in order (each move in post-relabelling coordinates)."""
+    engine = _Cancellation.of_graph(G)
+    whites, blacks = engine.whites, engine.blacks
     for move in moves:
-        G = remove_dipole(G, move)
-    return G
+        half = len(whites)
+        w, b, free = move.white_vertex, move.black_vertex, move.free_colour
+        if half < 2:
+            raise InvalidMove("the 2-vertex dipole is terminal")
+        if not (1 <= w <= half and half + 1 <= b <= 2 * half and 1 <= free <= engine.d + 1):
+            raise InvalidMove(f"move {move} out of range for n={2 * half}")
+        white, black = whites[w - 1], blacks[b - half - 1]
+        if (black, free - 1) not in engine.dipoles_at(white):
+            raise InvalidMove(f"{(w, b)} is not a dipole with free colour {free}")
+        engine.cancel(white, black, free - 1)
+    return engine.graph() if len(whites) < G.half else G
 
 
 def melonic_reduce(G: ColourfulGraph) -> ReductionTrace:
@@ -122,13 +210,22 @@ def melonic_reduce(G: ColourfulGraph) -> ReductionTrace:
     """
     if not is_connected(G):
         raise Disconnected("melonic reduction is defined for connected graphs")
-    moves = []
-    g = G
-    while g.half > 1:
-        found = find_dipoles(g)
-        if not found:
-            break
-        move = found[0]
-        moves.append(move)
-        g = remove_dipole(g, move)
-    return ReductionTrace(tuple(moves), g, g.half == 1)
+    engine = _Cancellation.of_graph(G)
+    moves = tuple(DipoleMove(*m) for m in engine.reduce())
+    terminal = engine.graph() if moves else G
+    return ReductionTrace(moves, terminal, terminal.half == 1)
+
+
+def residue_reaches_dipole(
+    G: ColourfulGraph, I: ColourSetLike, component: Sequence[int]
+) -> bool:
+    """Does the greedy reduction of one residue component reach the dipole?
+
+    Same answer as ``melonic_reduce(residue_subgraph(G, I, component))``,
+    without building the subgraph: the component, sorted ascending as
+    ``residues`` gives it, is connected, and its own labels order the
+    greedy choice as the subgraph's relabelling does.
+    """
+    engine = _Cancellation.of_residue(G, I, component)
+    engine.reduce()
+    return len(engine.whites) == 1

@@ -18,7 +18,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Tuple
 
-from .dipoles import melonic_reduce
+from .dipoles import melonic_reduce, residue_reaches_dipole
 from .errors import (
     Disconnected,
     InvalidColourSet,
@@ -158,7 +158,7 @@ def is_manifold(G: ColourfulGraph) -> TopologyVerdict:
             for size in range(4, G.d + 1)
             for I in itertools.combinations(range(1, G.d + 2), size)
             for comp in residues(G, I).components
-            if not melonic_reduce(residue_subgraph(G, I, comp)).reached_dipole
+            if not residue_reaches_dipole(G, I, comp)
         ),
         None,
     )
