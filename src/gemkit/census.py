@@ -25,7 +25,6 @@ tuple (n/2)! times.  This is the first step of isomorph-free generation
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import statistics
@@ -52,8 +51,8 @@ CLASSES = ("all", "propertyP", "manifold", "sphere_yes", "sphere_unknown", "melo
 
 DEFAULT_BUDGET = 10**8
 
-# verify_extension_bound tries all (n-1)!! perfect matchings of [1..n]:
-# 135,135 at n=14 (seconds, tens of MB), 2,027,025 at n=16
+# verify_extension_bound searches the (n-1)!! perfect matchings of [1..n]:
+# 135,135 at n=14 (under a second), 2,027,025 at n=16
 EXTENSION_MAX_N = 14
 
 
@@ -185,16 +184,6 @@ def all_perfect_matchings(n: int) -> List[Tuple[int, ...]]:
 
     rec()
     return out
-
-
-@functools.lru_cache(maxsize=1)
-def _matchings_of(n: int) -> Tuple[Tuple[int, ...], ...]:
-    """all_perfect_matchings(n), built once per run of calls at one n.
-
-    A battery calls verify_extension_bound for many bases of one size in
-    a row; keeping only the latest size bounds what stays in memory.
-    """
-    return tuple(all_perfect_matchings(n))
 
 
 @dataclass
@@ -329,53 +318,6 @@ def _check_involution(m: Sequence[int], n: int, name: str) -> Tuple[int, ...]:
     return m
 
 
-def _union_components(ms: Sequence[Sequence[int]], n: int) -> int:
-    """Components of the union of the matchings ms on [1..n].
-
-    Every m must be a fixed-point-free involution (as _check_involution
-    and all_perfect_matchings guarantee): each edge is then read once, at
-    its smaller end, and the count falls by one per merge.
-    """
-    parent = list(range(n + 1))
-    components = n
-    for m in ms:
-        for v, u in enumerate(m, start=1):
-            if v > u:
-                continue  # an involution lists each edge twice
-            while parent[v] != v:
-                parent[v] = v = parent[parent[v]]
-            while parent[u] != u:
-                parent[u] = u = parent[parent[u]]
-            if v != u:
-                parent[v] = u
-                components -= 1
-    return components
-
-
-def _bipartite_components(ms: Sequence[Sequence[int]], n: int) -> Optional[int]:
-    """Components of the union of the matchings ms on [1..n], or None if
-    the union has an odd cycle, from one 2-colouring search."""
-    side = [-1] * (n + 1)
-    components = 0
-    for start in range(1, n + 1):
-        if side[start] >= 0:
-            continue
-        components += 1
-        side[start] = 0
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            other = side[v] ^ 1
-            for m in ms:
-                u = m[v - 1]
-                if side[u] < 0:
-                    side[u] = other
-                    stack.append(u)
-                elif side[u] != other:
-                    return None
-    return components
-
-
 @dataclass
 class ExtensionBoundReport:
     """Planar third-matching extensions of a 2-matching base, bucketed by k."""
@@ -393,33 +335,125 @@ def verify_extension_bound(m1: Sequence[int], m2: Sequence[int]) -> ExtensionBou
     """Count planar 3-colourful completions of two matchings, check the bound.
 
     The base C is the union of two perfect matchings of [1..n] with c
-    components.  Every third matching making the union bipartite gives a
+    components.  Every third matching m3 making the union bipartite gives a
     3-colourful graph; it counts as planar when all its components embed
     with genus 0, detected by the exact cycle-count identity
     total bicoloured cycles == 2k + n/2 (k components of the extension).
-    Each bucket count must be at most 2^(5n) * n^(c-k).  Every perfect
-    matching of [1..n] is tried, so n is capped at EXTENSION_MAX_N.
+    Each bucket count must be at most 2^(5n) * n^(c-k).
+
+    m3 is built by a depth-first search, one edge at a time: each step
+    pairs the lowest free vertex with each higher free vertex in turn.
+    Three union-finds with undo follow the search: the components of
+    m1 u m2 u m3 with the side of each vertex in a 2-colouring, and the
+    components of m1 u m3 and of m2 u m3.  An edge joining two vertices of
+    one component on the same side closes an odd cycle, so no completion
+    below it is bipartite and the whole subtree is skipped.  Skipped
+    completions still count in extensions_tried, which is (n-1)!!, the
+    number of perfect matchings of [1..n]; n is capped at EXTENSION_MAX_N.
     """
     n = len(m1)
     if n > EXTENSION_MAX_N:
         raise BudgetExceeded(f"n={n} above the small-instance limit {EXTENSION_MAX_N}")
     m1 = _check_involution(m1, n, "m1")
     m2 = _check_involution(m2, n, "m2")
-    c = _union_components((m1, m2), n)
-    buckets: Dict[int, int] = {}
-    tried = planar = 0
-    for m3 in _matchings_of(n):
-        tried += 1
-        k = _bipartite_components((m1, m2, m3), n)
-        if k is None:
+    # one walk around each alternating (m1, m2) cycle numbers the base
+    # components and 2-colours them
+    cycle = [-1] * (n + 1)
+    side = [0] * (n + 1)
+    c = 0
+    for start in range(1, n + 1):
+        if cycle[start] >= 0:
             continue
-        # the (m1, m2) cycles are the base's components
-        cycles = c + _union_components((m1, m3), n) + _union_components((m2, m3), n)
-        if cycles == 2 * k + n // 2:
-            planar += 1
-            buckets[k] = buckets.get(k, 0) + 1
+        v = start
+        while cycle[v] < 0:
+            u = m1[v - 1]
+            cycle[v], cycle[u], side[u] = c, c, 1
+            v = m2[u - 1]
+        c += 1
+    # union-finds by size, without path compression, so a union is undone
+    # by detaching the root it attached: base components keyed by cycle
+    # number, each with its side relative to its parent; m1 u m3 and
+    # m2 u m3 keyed by the smaller end of each m1 (m2) edge
+    up_b, size_b, flip = list(range(c)), [1] * c, [0] * c
+    key1 = [0] + [min(v, u) for v, u in enumerate(m1, start=1)]
+    key2 = [0] + [min(v, u) for v, u in enumerate(m2, start=1)]
+    up1, size1 = list(range(n + 1)), [1] * (n + 1)
+    up2, size2 = list(range(n + 1)), [1] * (n + 1)
+    buckets: Dict[int, int] = {}
+    # planar iff c + (n/2 - merged1) + (n/2 - merged2) == 2(c - merged_b) + n/2
+    target = n // 2 - c
+
+    def extend(free: List[int], merged_b: int, merged1: int, merged2: int) -> None:
+        if not free:
+            if merged1 + merged2 - 2 * merged_b == target:
+                k = c - merged_b
+                buckets[k] = buckets.get(k, 0) + 1
+            return
+        v = free[0]
+        # v's roots hold for every sibling: each child's unions are undone
+        # before the next child is tried
+        rv, sv = cycle[v], side[v]
+        while up_b[rv] != rv:
+            sv ^= flip[rv]
+            rv = up_b[rv]
+        r1v = key1[v]
+        while up1[r1v] != r1v:
+            r1v = up1[r1v]
+        r2v = key2[v]
+        while up2[r2v] != r2v:
+            r2v = up2[r2v]
+        for i in range(1, len(free)):
+            u = free[i]
+            ru, su = cycle[u], side[u]
+            while up_b[ru] != ru:
+                su ^= flip[ru]
+                ru = up_b[ru]
+            if ru == rv:
+                if su == sv:
+                    continue  # odd cycle: nothing below is bipartite
+                child_b = -1
+            else:
+                child_b, root_b = (ru, rv) if size_b[ru] <= size_b[rv] else (rv, ru)
+                up_b[child_b] = root_b
+                size_b[root_b] += size_b[child_b]
+                flip[child_b] = su ^ sv ^ 1
+            r1u = key1[u]
+            while up1[r1u] != r1u:
+                r1u = up1[r1u]
+            child1 = -1
+            if r1u != r1v:
+                child1, root1 = (r1u, r1v) if size1[r1u] <= size1[r1v] else (r1v, r1u)
+                up1[child1] = root1
+                size1[root1] += size1[child1]
+            r2u = key2[u]
+            while up2[r2u] != r2u:
+                r2u = up2[r2u]
+            child2 = -1
+            if r2u != r2v:
+                child2, root2 = (r2u, r2v) if size2[r2u] <= size2[r2v] else (r2v, r2u)
+                up2[child2] = root2
+                size2[root2] += size2[child2]
+            extend(
+                free[1:i] + free[i + 1:],
+                merged_b + (child_b >= 0),
+                merged1 + (child1 >= 0),
+                merged2 + (child2 >= 0),
+            )
+            if child2 >= 0:
+                size2[up2[child2]] -= size2[child2]
+                up2[child2] = child2
+            if child1 >= 0:
+                size1[up1[child1]] -= size1[child1]
+                up1[child1] = child1
+            if child_b >= 0:
+                size_b[up_b[child_b]] -= size_b[child_b]
+                up_b[child_b] = child_b
+
+    extend(list(range(1, n + 1)), 0, 0, 0)
+    planar = sum(buckets.values())
     bounds = {k: 2 ** (5 * n) * n ** (c - k) for k in buckets}
     violations = [k for k, cnt in buckets.items() if cnt > bounds[k]]
+    tried = math.prod(range(n - 1, 0, -2))
     return ExtensionBoundReport(n, c, buckets, bounds, violations, tried, planar)
 
 

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from gemkit import (
     BadParams,
     BudgetExceeded,
     CLASSES,
+    ExtensionBoundReport,
     RangeError,
     all_perfect_matchings,
     census,
@@ -25,8 +28,8 @@ from gemkit import (
     verify_lemma_bounds,
     vn_experiment,
 )
-from gemkit.census import _bipartite_components, _union_components
 from census_oracle import full_census, full_lemma_bounds
+from extension_oracle import bipartite_components, extension_bound, union_components
 from conftest import (
     double_dipole_graph,
     split_pair_graph,
@@ -269,9 +272,158 @@ def test_union_components_agrees_with_a_search():
         for r in (1, 2, 3):
             for tup in itertools.product(ms, repeat=r):
                 expected = _search_components(tup, n)
-                assert _union_components(tup, n) == expected
+                assert union_components(tup, n) == expected
                 bipartite = _has_two_colouring(tup, n)
-                assert _bipartite_components(tup, n) == (expected if bipartite else None)
+                assert bipartite_components(tup, n) == (expected if bipartite else None)
+
+
+def _double_factorial(n):
+    return math.prod(range(n - 1, 0, -2))
+
+
+def _cycle_type(m1, m2):
+    """Sorted lengths of the alternating cycles of m1 u m2."""
+    seen, lengths = set(), []
+    for start in range(1, len(m1) + 1):
+        v, length = start, 0
+        while v not in seen:
+            u = m1[v - 1]
+            seen.update((v, u))
+            length += 2
+            v = m2[u - 1]
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
+def _random_matching(n, rng):
+    vs = list(range(1, n + 1))
+    rng.shuffle(vs)
+    m = [0] * n
+    for a, b in zip(vs[::2], vs[1::2]):
+        m[a - 1], m[b - 1] = b, a
+    return tuple(m)
+
+
+def _extension_sample(rng):
+    """Seeded base pairs: at n = 8 three of each cycle type, m1 = m2 among
+    them; at n = 10 and 12 random pairs."""
+    ms = all_perfect_matchings(8)
+    by_type = {}
+    for pair in itertools.product(ms, ms):
+        by_type.setdefault(_cycle_type(*pair), []).append(pair)
+    assert sorted(by_type) == [(2, 2, 2, 2), (4, 2, 2), (4, 4), (6, 2), (8,)]
+    pairs = [(ms[0], ms[0])]
+    for ctype in sorted(by_type):
+        pairs += rng.sample(by_type[ctype], 3)
+    pairs += [(_random_matching(10, rng), _random_matching(10, rng)) for _ in range(6)]
+    pairs += [(_random_matching(12, rng), _random_matching(12, rng)) for _ in range(2)]
+    return pairs
+
+
+def test_extension_search_matches_the_oracle():
+    pairs = [
+        pair
+        for n in (0, 2, 4, 6)
+        for pair in itertools.product(all_perfect_matchings(n), repeat=2)
+    ]
+    pairs += _extension_sample(random.Random(8))
+    for m1, m2 in pairs:
+        report, expected = verify_extension_bound(m1, m2), extension_bound(m1, m2)
+        assert report == expected, (m1, m2)
+        assert list(report.buckets) == list(expected.buckets)
+        assert report.extensions_tried == _double_factorial(len(m1))
+
+
+def test_extension_bound_is_invariant_under_relabelling():
+    rng = random.Random(5)
+    for n in (2, 4, 6, 8, 10, 12):
+        for _ in range(3):
+            m1, m2 = _random_matching(n, rng), _random_matching(n, rng)
+            p = list(range(1, n + 1))
+            rng.shuffle(p)
+            # the edge {v, m(v)} becomes {p(v), p(m(v))}
+            conj = [[0] * n for _ in range(2)]
+            for m, out in zip((m1, m2), conj):
+                for v in range(1, n + 1):
+                    out[p[v - 1] - 1] = p[m[v - 1] - 1]
+            report = verify_extension_bound(m1, m2)
+            assert verify_extension_bound(*conj) == report, (m1, m2, p)
+            assert report.extensions_tried == _double_factorial(n)
+
+
+def _search_leaves(m1, m2):
+    """Completions the extension search reaches, counted by a profile hook."""
+    leaves = 0
+
+    def count(frame, event, arg):
+        nonlocal leaves
+        if event == "call" and frame.f_code.co_name == "extend" and not frame.f_locals["free"]:
+            leaves += 1
+
+    sys.setprofile(count)
+    try:
+        verify_extension_bound(m1, m2)
+    finally:
+        sys.setprofile(None)
+    return leaves
+
+
+def test_the_extension_search_reaches_only_bipartite_completions():
+    # a non-bipartite completion never passes the cycle identity, so only
+    # the count of leaves shows that the parity test prunes
+    pairs = [
+        pair
+        for n in (2, 4, 6)
+        for pair in itertools.product(all_perfect_matchings(n), repeat=2)
+    ]
+    pairs += _extension_sample(random.Random(9))[::4]
+    for m1, m2 in pairs:
+        n = len(m1)
+        bipartite = sum(
+            bipartite_components((m1, m2, m3), n) is not None
+            for m3 in all_perfect_matchings(n)
+        )
+        assert _search_leaves(m1, m2) == bipartite, (m1, m2)
+
+
+def _catalan(k):
+    return math.comb(2 * k, k) // (k + 1)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12, 14])
+def test_a_single_cycle_base_has_catalan_many_planar_extensions(n):
+    # the non-crossing matchings of the cycle, each keeping it connected
+    m1 = tuple(v + 1 if v % 2 else v - 1 for v in range(1, n + 1))
+    m2 = tuple((v % n) + 1 if v % 2 == 0 else (v - 2) % n + 1 for v in range(1, n + 1))
+    report = verify_extension_bound(m1, m2)
+    assert report.base_components == 1
+    assert report.buckets == {1: _catalan(n // 2)}
+    assert report.planar_extensions == _catalan(n // 2)
+    assert report.extensions_tried == _double_factorial(n)
+
+
+def test_a_doubled_matching_makes_every_extension_planar():
+    for n in (2, 4, 6, 8, 10, 12, 14):
+        m = tuple(v + 1 if v % 2 else v - 1 for v in range(1, n + 1))
+        report = verify_extension_bound(m, m)
+        assert report.base_components == n // 2
+        assert report.planar_extensions == report.extensions_tried == _double_factorial(n)
+    assert report.buckets == {
+        7: 1, 6: 42, 5: 700, 4: 5880, 3: 25984, 2: 56448, 1: 46080,
+    }
+    assert report.violations == []
+
+
+def test_extension_bound_on_the_smallest_bases():
+    assert verify_extension_bound((), ()) == ExtensionBoundReport(
+        n=0, base_components=0, buckets={0: 1}, bounds={0: 1},
+        violations=[], extensions_tried=1, planar_extensions=1,
+    )
+    assert verify_extension_bound((2, 1), (2, 1)) == ExtensionBoundReport(
+        n=2, base_components=1, buckets={1: 1}, bounds={1: 2**10},
+        violations=[], extensions_tried=1, planar_extensions=1,
+    )
 
 
 def test_extension_bound_input_checks():

@@ -271,6 +271,27 @@ def test_bound_check(tmp_path, capsys):
     assert "violations: 0" in out
 
 
+def test_bound_check_on_a_doubled_14_vertex_matching(tmp_path, capsys):
+    path = tmp_path / "base14.cgf"
+    blacks = tuple(range(8, 15))
+    path.write_text(write_cgf(ColourfulGraph(1, (blacks, blacks))))
+    assert run(["bound-check", "--cgf2", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "n: 14\n"
+        "base components: 7\n"
+        "planar extensions: 135135 of 135135\n"
+        "k,count,bound\n"
+        "1,46080,8889307109490094235937931264\n"
+        "2,56448,634950507820721016852709376\n"
+        "3,25984,45353607701480072632336384\n"
+        "4,5880,3239543407248576616595456\n"
+        "5,700,231395957660612615471104\n"
+        "6,42,16528282690043758247936\n"
+        "7,1,1180591620717411303424\n"
+        "violations: 0\n"
+    )
+
+
 def test_bound_check_requires_two_matchings(tetra_file, capsys):
     assert run(["bound-check", "--cgf2", tetra_file]) == 64
 
