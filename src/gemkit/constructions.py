@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import BadParams, InvariantViolated, NotAConstructionGraph, OddN
 from .graph import ColourfulGraph
@@ -115,13 +115,9 @@ class PartialGraph:
     k: int
     n: int
     edges: Tuple[Tuple[int, int, int], ...]
-    names: Dict[int, str]
 
     def degree(self, v: int) -> int:
         return sum(1 for u, w, _ in self.edges if v in (u, w))
-
-    def incident_colours(self, v: int) -> Tuple[int, ...]:
-        return tuple(sorted(c for u, w, c in self.edges if v in (u, w)))
 
 
 def _base_edges(d: int, k: int) -> List[Tuple[int, int, int]]:
@@ -159,12 +155,7 @@ def build_G0(d: int, k: int) -> PartialGraph:
         raise BadParams(f"d must be >= 3, got {d}")
     if k < 1:
         raise BadParams(f"k must be >= 1, got {k}")
-    kd = k * d
-    names = {}
-    for letter, label in (("a", "a"), ("b", "b"), ("ap", "a'"), ("bp", "b'")):
-        for i in range(1, kd + 1):
-            names[_vertex_id(letter, i, kd)] = f"{label}{i}"
-    return PartialGraph(d, k, 4 * kd, tuple(_base_edges(d, k)), names)
+    return PartialGraph(d, k, 4 * k * d, tuple(_base_edges(d, k)))
 
 
 def build_manifold(params: ConstructionParams) -> ColourfulGraph:

@@ -44,9 +44,6 @@ class DipoleMove:
     black_vertex: int
     free_colour: int
 
-    def as_tuple(self) -> Tuple[int, int, int]:
-        return (self.white_vertex, self.black_vertex, self.free_colour)
-
 
 @dataclass(frozen=True)
 class ReductionTrace:

@@ -215,11 +215,6 @@ def count_cycles(perm: Sequence[int]) -> int:
     return cycles
 
 
-def from_matchings(d: int, matchings: Sequence[Sequence[int]]) -> ColourfulGraph:
-    """Validated constructor; see ColourfulGraph for the conventions."""
-    return ColourfulGraph(d, matchings)
-
-
 @dataclass(frozen=True)
 class ResiduePartition:
     """Connected components of G_I; shared between callers, so read-only."""

@@ -131,9 +131,13 @@ def is_sphere(G: ColourfulGraph) -> TopologyVerdict:
 def is_manifold(G: ColourfulGraph) -> TopologyVerdict:
     """Does the graph encode a closed d-manifold (per component)?
 
-    Exact for d <= 3.  For d >= 4: Yes when all residues of sizes 3..d are
-    certified spheres (genus at size 3, dipole reduction above); No when a
-    homology-sphere necessary condition fails; Unknown otherwise.
+    Exact for d <= 3.  For d >= 4 it follows Ferri, Gagliardi and
+    Grasselli ("A graph-theoretical representation of PL-manifolds",
+    Aequationes Math. 31, 1986): K(G) is a closed PL d-manifold iff every
+    d-residue, one per missing colour and component, is a PL (d-1)-sphere.
+    Yes when every d-residue component reduces to the dipole.  No on a
+    positive-genus 3-residue or, once a d-residue is stuck, on a failed
+    component-count identity or a non-sphere 5-residue; Unknown otherwise.
     """
     if G.d <= 2:
         return _yes(f"every {G.d + 1}-colourful graph encodes a closed {G.d}-manifold")
@@ -141,6 +145,21 @@ def is_manifold(G: ColourfulGraph) -> TopologyVerdict:
         return _no(_positive_genus_witness(G))
     if G.d == 3:
         return _yes("every 3-residue component has genus 0")
+
+    stuck = next(
+        (
+            (I, comp[0])
+            for I in itertools.combinations(range(1, G.d + 2), G.d)
+            for comp in residues(G, I).components
+            if not residue_reaches_dipole(G, I, comp)
+        ),
+        None,
+    )
+    if stuck is None:
+        return _yes(
+            f"every {G.d}-residue component reduces to the dipole "
+            f"(PL {G.d - 1}-spheres)"
+        )
 
     # necessary identity on even-dimensional residues; |I| = 3 is property P
     for m in range(5, G.d + 1, 2):
@@ -151,23 +170,6 @@ def is_manifold(G: ColourfulGraph) -> TopologyVerdict:
                     f"component-count identity fails on I={I}: "
                     f"alternating sum {lhs} != {rhs}"
                 )
-
-    stuck = next(
-        (
-            (I, comp[0])
-            for size in range(4, G.d + 1)
-            for I in itertools.combinations(range(1, G.d + 2), size)
-            for comp in residues(G, I).components
-            if not residue_reaches_dipole(G, I, comp)
-        ),
-        None,
-    )
-    if stuck is None:
-        return _yes(
-            f"all residues of sizes 3..{G.d} certified spheres "
-            "(genus 0 at size 3, dipole reduction above)"
-        )
-
     if G.d >= 5:
         for I in itertools.combinations(range(1, G.d + 2), 5):
             part = residues(G, I)

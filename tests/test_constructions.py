@@ -62,13 +62,14 @@ def test_base_graph_degree_pattern(d, k):
     for v in range(1, G0.n + 1):
         col = (v - 1) % (2 * kd) + 1  # column index of the vertex
         i = kd + 1 - col if col <= kd else col - kd
+        colours = sorted(c for u, w, c in G0.edges if v in (u, w))
         if i % d == 0:
             assert G0.degree(v) == d
-            assert d + 1 not in G0.incident_colours(v)
+            assert colours == list(range(1, d + 1))
             open_count += 1
         else:
             assert G0.degree(v) == d + 1
-            assert d + 1 in G0.incident_colours(v)
+            assert colours == list(range(1, d + 2))
             full_count += 1
     assert open_count == 4 * k
     assert full_count == 4 * (kd - k)

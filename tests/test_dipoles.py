@@ -42,7 +42,6 @@ def test_terminal_graph_has_no_moves():
 def test_find_dipoles_two_tetrahedra():
     moves = find_dipoles(two_tetrahedra_graph())
     assert moves == [DipoleMove(1, 3, 4), DipoleMove(2, 4, 4)]
-    assert moves[0].as_tuple() == (1, 3, 4)
 
 
 def test_full_parallel_pair_is_not_a_dipole():
@@ -218,7 +217,7 @@ def test_in_place_reduction_matches_the_rebuilding_oracle(G, data):
         sub = residue_subgraph(G, everything, comp)
         trace = melonic_reduce(sub)
         expected = dipole_oracle.melonic_reduce(sub)
-        assert [m.as_tuple() for m in trace.moves] == [m.as_tuple() for m in expected.moves]
+        assert trace.moves == expected.moves
         assert trace.terminal.matchings == expected.terminal.matchings
         assert trace.reached_dipole == expected.reached_dipole
         assert replay(sub, trace.moves) == trace.terminal

@@ -23,7 +23,6 @@ from gemkit import (
     count_cycles,
     f_vector,
     from_coloured_edges,
-    from_matchings,
     genus_of_residue,
     has_property_P,
     is_connected,
@@ -124,7 +123,7 @@ def test_pair_permutation_cycles():
 
 def test_equality_and_hash():
     assert two_tetrahedra_graph() == two_tetrahedra_graph()
-    assert from_matchings(3, ((3, 4),) * 4) == double_dipole_graph()
+    assert ColourfulGraph(3, ((3, 4),) * 4) == double_dipole_graph()
     assert hash(torus_graph()) == hash(torus_graph())
     assert torus_graph() != torus_in_d3()
 

@@ -19,3 +19,17 @@ def test_library_has_no_bare_asserts():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_package_exports_exactly_what_it_imports():
+    # a name deleted from a module must leave __all__ too, and the other
+    # way round; sorted so that a diff shows where a name went
+    init = Path(gemkit.__file__).resolve()
+    imported = [
+        alias.asname or alias.name
+        for node in ast.parse(init.read_text(), filename=str(init)).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert gemkit.__all__ == sorted(set(gemkit.__all__))
+    assert set(gemkit.__all__) == set(imported)

@@ -1,9 +1,12 @@
 """Three-valued sphere and manifold verdicts with certificates."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import manifold_oracle
 from gemkit import (
     ColourfulGraph,
     ConstructionParams,
@@ -17,12 +20,15 @@ from gemkit import (
     TopologyVerdict,
     build_manifold,
     build_planar_family,
+    colour_deleted_components,
     euler_poincare_check,
     is_manifold,
     is_rational_homology_sphere,
     is_sphere,
     lemma1_witness,
     lemma2_witness,
+    random_construction_params,
+    random_graph,
 )
 from gemkit.verdicts import _positive_genus_witness
 from conftest import (
@@ -128,7 +134,7 @@ def test_dimension_four_construction_is_certified():
     G = build_manifold(ConstructionParams(4, 1, (1,), (1,)))
     v = is_manifold(G)
     assert v.status is Status.YES
-    assert "sizes 3..4" in v.certificate
+    assert v.certificate == "every 4-residue component reduces to the dipole (PL 3-spheres)"
 
 
 def test_planar_family_is_not_manifold_in_high_dimension():
@@ -140,6 +146,55 @@ def test_planar_family_is_not_manifold_in_high_dimension():
     v4 = is_manifold(build_planar_family(G3, 4))
     assert v4.status is Status.UNKNOWN
     assert "reduction stuck" in v4.certificate
+
+
+@st.composite
+def manifold_candidates(draw):
+    """Random d = 4..6 graphs, glued manifolds, planar families and their
+    colour-deleted components."""
+    seed = draw(st.integers(0, 10**6))
+    kind = draw(st.sampled_from(["random", "manifold", "planar", "deleted"]))
+    if kind == "random":
+        return random_graph(draw(st.integers(4, 6)), 2 * draw(st.integers(1, 5)), seed)
+    if kind == "planar":
+        G3 = build_manifold(random_construction_params(3, draw(st.integers(1, 2)), seed))
+        return build_planar_family(G3, draw(st.integers(5, 6)))
+    d = draw(st.integers(4, 6)) + (kind == "deleted")
+    k = 1 if d > 5 else draw(st.integers(1, 2))
+    G = build_manifold(random_construction_params(d, k, seed))
+    if kind == "manifold":
+        return G
+    return draw(st.sampled_from(colour_deleted_components(G, draw(st.integers(1, d + 1)))))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(manifold_candidates())
+def test_manifold_verdict_agrees_with_the_full_residue_ladder(G):
+    new, old = is_manifold(G), manifold_oracle.is_manifold(G)
+    # only the sufficient check changed: a stuck smaller residue no longer
+    # hides a Yes, and every No is found by the same check as before
+    assert new.status is old.status or (old.status, new.status) == (
+        Status.UNKNOWN,
+        Status.YES,
+    )
+    if old.status is Status.NO:
+        assert new.certificate == old.certificate
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: dipole_graph(12),
+        lambda: build_manifold(ConstructionParams(5, 3, (3, 2, 1), (1, 2, 3))),
+    ],
+    ids=["dipole-d12", "construction-d5"],
+)
+def test_a_manifold_yes_reads_only_pairs_triples_and_d_residues(build):
+    G = build()
+    assert is_manifold(G).status is Status.YES
+    d = G.d
+    # property P reads pairs and triples, the sweep one set per missing colour
+    assert len(G._residues) <= comb(d + 1, 2) + comb(d + 1, 3) + d + 1
 
 
 # -------------------------------------------- rational homology spheres
