@@ -17,7 +17,10 @@ whites gives the lowest white with a dipole.  Each move also bisects the
 sorted lists of alive whites and blacks, in O(log n), and deletes from
 them (a memory shift).  A reduction of n vertices scans them once, in
 O(nd), and builds one ColourfulGraph, at the end; the rebuilding loop it
-replaced cost O(n^2 d).
+replaced cost O(n^2 d).  ``stuck_whites`` runs the same engine on the
+matchings of a colour subset I alone, which reduces every component of
+G_I at once: the manifold verdict reduces each d-residue this way without
+reading its partition.
 
 Moves are reported in the coordinates of the graph as relabelled by the
 preceding moves (whites 1..n/2, blacks n/2+1..n, each in label order).
@@ -32,10 +35,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import Disconnected, InvalidMove
-from .graph import ColourfulGraph, ColourSetLike, is_connected
+from .graph import ColourfulGraph, ColourSetLike, _check_colours, is_connected
 
 
 @dataclass(frozen=True, order=True)
@@ -78,21 +81,15 @@ class _Cancellation:
         self.blacks = blacks
 
     @classmethod
-    def of_graph(cls, G: ColourfulGraph) -> "_Cancellation":
-        whites = list(range(1, G.half + 1))
-        fwd = [dict(zip(whites, m)) for m in G.matchings]
-        return cls(fwd, whites, list(range(G.half + 1, G.n + 1)))
-
-    @classmethod
-    def of_residue(
-        cls, G: ColourfulGraph, colours: Iterable[int], component: Sequence[int]
+    def of_graph(
+        cls, G: ColourfulGraph, colours: Optional[Iterable[int]] = None
     ) -> "_Cancellation":
-        """The residue component in G's labels; component sorted ascending."""
-        k = bisect_left(component, G.half + 1)
-        whites = list(component[:k])
-        idx = [w - 1 for w in whites]
-        fwd = [dict(zip(whites, map(G.matchings[c - 1].__getitem__, idx))) for c in colours]
-        return cls(fwd, whites, list(component[k:]))
+        """G's matchings, or only those of the given colours (the residue
+        G_I, every component at once), in G's labels."""
+        whites = list(range(1, G.half + 1))
+        ms = G.matchings if colours is None else [G.matchings[c - 1] for c in colours]
+        fwd = [dict(zip(whites, m)) for m in ms]
+        return cls(fwd, whites, list(range(G.half + 1, G.n + 1)))
 
     def dipoles_at(self, w: int) -> List[Tuple[int, int]]:
         """(black, free colour index) of each dipole at white w, black ascending.
@@ -213,16 +210,19 @@ def melonic_reduce(G: ColourfulGraph) -> ReductionTrace:
     return ReductionTrace(moves, terminal, terminal.half == 1)
 
 
-def residue_reaches_dipole(
-    G: ColourfulGraph, I: ColourSetLike, component: Sequence[int]
-) -> bool:
-    """Does the greedy reduction of one residue component reach the dipole?
+def stuck_whites(G: ColourfulGraph, I: ColourSetLike) -> List[int]:
+    """Surviving whites of the components of G_I whose greedy reduction is stuck.
 
-    Same answer as ``melonic_reduce(residue_subgraph(G, I, component))``,
-    without building the subgraph: the component, sorted ascending as
-    ``residues`` gives it, is connected, and its own labels order the
-    greedy choice as the subgraph's relabelling does.
+    One engine reduces every component of G_I at once, in G's labels.  A
+    move changes only its own component, and G's labels order each
+    component's whites as its residue subgraph's relabelling does, so the
+    lowest-white order makes within each component exactly the moves of
+    ``melonic_reduce(residue_subgraph(G, I, component))``.  A component
+    has reached the dipole iff its one surviving white has a single black
+    neighbour; a stuck one keeps whites with two or more.  Empty iff every
+    component of G_I reduces to the dipole.
     """
-    engine = _Cancellation.of_residue(G, I, component)
+    engine = _Cancellation.of_graph(G, _check_colours(G, I))
     engine.reduce()
-    return len(engine.whites) == 1
+    fwd = engine.fwd
+    return [w for w in engine.whites if any(m[w] != fwd[0][w] for m in fwd)]

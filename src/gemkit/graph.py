@@ -24,6 +24,7 @@ from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
 
 from .errors import (
+    BudgetExceeded,
     InvalidColourSet,
     InvariantViolated,
     LengthMismatch,
@@ -35,6 +36,12 @@ from .errors import (
 )
 
 ColourSetLike = Union["ColourSet", Iterable[int]]
+
+# Most colour subsets one call may enumerate: every subset of 13 colours
+# (d = 12).  kappa_table, f_vector, order_complex and the manifold
+# verdict's identity loop read up to 2^|I| residue partitions, so a short
+# file with many colours would otherwise ask for billions of them.
+COLOUR_SUBSET_MAX = 1 << 13
 
 
 class ColourSet:
@@ -239,6 +246,15 @@ def _check_colours(G: ColourfulGraph, I: ColourSetLike) -> ColourSet:
     return cs
 
 
+def _check_subset_budget(colour_count: int) -> None:
+    """Raise BudgetExceeded if the subsets of colour_count colours exceed the cap."""
+    if 1 << colour_count > COLOUR_SUBSET_MAX:
+        raise BudgetExceeded(
+            f"{colour_count} colours have 2^{colour_count} subsets, "
+            f"above the limit {COLOUR_SUBSET_MAX}"
+        )
+
+
 def residues(G: ColourfulGraph, I: ColourSetLike) -> ResiduePartition:
     """Components of G_I, ordered by minimum vertex, each sorted ascending.
 
@@ -316,6 +332,7 @@ class KappaTable:
 
 def kappa_table(G: ColourfulGraph) -> KappaTable:
     """Component counts for all 2^(d+1) colour subsets."""
+    _check_subset_budget(G.d + 1)
     return KappaTable(G.d, G.n, {
         bits: len(residues(G, ColourSet.from_bits(bits)))
         for bits in range(1 << (G.d + 1))
@@ -348,6 +365,7 @@ def f_vector(G: ColourfulGraph, I: ColourSetLike) -> Tuple[int, ...]:
     size = len(cs)
     if size == 0:
         raise InvalidColourSet("f-vector needs at least one colour")
+    _check_subset_budget(size)
     return tuple(kappa_r(G, cs, size - 1 - s) for s in range(size))
 
 

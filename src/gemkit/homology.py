@@ -33,6 +33,7 @@ from .graph import (
     ColourSet,
     ColourSetLike,
     _check_colours,
+    _check_subset_budget,
     residues,
 )
 
@@ -69,6 +70,7 @@ def order_complex(G: ColourfulGraph, I: ColourSetLike) -> OrderComplex:
     cs = _check_colours(G, I)
     if len(cs) < 1:
         raise InvalidColourSet("order complex needs at least one colour")
+    _check_subset_budget(len(cs))
     colours = tuple(cs)
     # index of the first cell of each colour subset S among the cells of
     # dimension |S| - 1

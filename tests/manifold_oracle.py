@@ -1,16 +1,23 @@
 """The manifold verdict by the residue sweep over every size: a reference for the tests.
 
-The library sweeps only the d-residues and looks for a No only once one
-of them is stuck.  This ladder checks the odd-size component-count
-identities first, then reduces every residue of sizes 4..d, and only then
-looks at the 5-residue Betti vectors, so the tests can compare statuses
-and No certificates of the two.
+The library tests property P on colour triple (1, 2, 3) only, sweeps
+only the d-residues, and looks for a No only once one of them is stuck.
+This ladder checks property P on every triple and the odd-size
+component-count identities first, then reduces every residue of sizes
+4..d, each component rebuilt as its own graph, and only then looks at
+the 5-residue Betti vectors, so the tests can compare statuses and No
+certificates of the two.
 """
 
 import itertools
 
-from gemkit import Status, is_rational_homology_sphere, residues
-from gemkit.dipoles import residue_reaches_dipole
+from gemkit import (
+    Status,
+    is_rational_homology_sphere,
+    melonic_reduce,
+    residue_subgraph,
+    residues,
+)
 from gemkit.graph import has_property_P
 from gemkit.verdicts import (
     _euler_poincare_sides,
@@ -19,6 +26,11 @@ from gemkit.verdicts import (
     _unknown,
     _yes,
 )
+
+
+def residue_reaches_dipole(G, I, component):
+    """Does the greedy reduction of one residue component reach the dipole?"""
+    return melonic_reduce(residue_subgraph(G, I, component)).reached_dipole
 
 
 def is_manifold(G):

@@ -7,6 +7,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -241,6 +242,25 @@ def test_census_budget_exit(capsys):
     err = capsys.readouterr().err
     assert "budget" in err
     assert "raise the budget" in err and "shard" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,colours",
+    [
+        (["kappa"], 31),
+        (["betti"], 31),
+        (["residues", "--colours", ",".join(map(str, range(1, 31)))], 30),
+    ],
+    ids=["kappa", "betti", "residues"],
+)
+def test_many_colours_exit_64_on_the_colour_subset_budget(tmp_path, capsys, argv, colours):
+    path = tmp_path / "wide.cgf"
+    path.write_text("cgf 30 2\n" + "2\n" * 31)  # 31 colours, 2^31 subsets
+    start = time.perf_counter()
+    assert run([argv[0], str(path), *argv[1:]]) == 64
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err == f"budget: {colours} colours have 2^{colours} subsets, above the limit 8192\n"
 
 
 def test_census_emit_graphs(tmp_path, capsys):

@@ -24,7 +24,7 @@ from gemkit import (
     residue_subgraph,
     residues,
 )
-from gemkit.dipoles import residue_reaches_dipole
+from gemkit.dipoles import stuck_whites
 from conftest import (
     dipole_graph,
     double_dipole_graph,
@@ -164,7 +164,7 @@ def test_a_thousand_vertex_melonic_residue_reaches_the_dipole():
     assert trace.reached_dipole
     assert len(trace.moves) == 1199
     assert replay(sub, trace.moves) == trace.terminal
-    assert residue_reaches_dipole(G, keep, comp)
+    assert stuck_whites(G, keep) == []
 
 
 def _relabelled(ms, d, draw):
@@ -226,7 +226,12 @@ def test_in_place_reduction_matches_the_rebuilding_oracle(G, data):
         with pytest.raises(Disconnected):
             melonic_reduce(G)
     subsets = [I for r in range(2, G.d + 2) for I in itertools.combinations(everything, r)]
-    for I in data.draw(st.lists(st.sampled_from(subsets), max_size=4)):
-        for comp in residues(G, I).components:
-            reached = melonic_reduce(residue_subgraph(G, I, comp)).reached_dipole
-            assert residue_reaches_dipole(G, I, comp) == reached
+    # the whole colour set first: G itself may be disconnected
+    for I in [everything, *data.draw(st.lists(st.sampled_from(subsets), max_size=4))]:
+        part = residues(G, I)
+        stuck = {
+            comp
+            for comp in part.components
+            if not melonic_reduce(residue_subgraph(G, I, comp)).reached_dipole
+        }
+        assert {part.component_containing(w) for w in stuck_whites(G, I)} == stuck

@@ -1,14 +1,15 @@
 """Three-valued sphere and manifold verdicts with certificates."""
 
 from fractions import Fraction
-from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import manifold_oracle
 from gemkit import (
+    BudgetExceeded,
     ColourfulGraph,
+    ColourSet,
     ConstructionParams,
     Disconnected,
     InvalidColourSet,
@@ -30,6 +31,7 @@ from gemkit import (
     random_construction_params,
     random_graph,
 )
+from gemkit.dipoles import _Cancellation
 from gemkit.verdicts import _positive_genus_witness
 from conftest import (
     circle_graph,
@@ -192,9 +194,102 @@ def test_manifold_verdict_agrees_with_the_full_residue_ladder(G):
 def test_a_manifold_yes_reads_only_pairs_triples_and_d_residues(build):
     G = build()
     assert is_manifold(G).status is Status.YES
-    d = G.d
-    # property P reads pairs and triples, the sweep one set per missing colour
-    assert len(G._residues) <= comb(d + 1, 2) + comb(d + 1, 3) + d + 1
+    # a Yes implies property P, so only triple (1, 2, 3) is read up front;
+    # the d-residues are reduced without reading their partitions
+    first_triple = {ColourSet(I).bits for I in [(1, 2, 3), (1, 2), (1, 3), (2, 3)]}
+    assert set(G._residues) <= first_triple
+    assert all(bits.bit_count() != G.d for bits in G._residues)
+
+
+def _torus_on_colours_3_4_5():
+    """d = 4: colours 1..3 are one matching, 3..5 the torus's matchings."""
+    ident, cyc, cyc2 = (4, 5, 6), (5, 6, 4), (6, 4, 5)
+    return ColourfulGraph(4, (ident, ident, ident, cyc, cyc2))
+
+
+_PLANAR_BASE = ConstructionParams(3, 1, (1,), (1,))
+
+
+@pytest.mark.parametrize(
+    "build,status,certificate",
+    [
+        (
+            lambda: build_manifold(ConstructionParams(5, 3, (3, 2, 1), (1, 2, 3))),
+            Status.YES,
+            "every 5-residue component reduces to the dipole (PL 4-spheres)",
+        ),
+        (
+            lambda: random_graph(4, 40, 5),
+            Status.NO,
+            "genus witness ((1, 2, 3), 1, 5)",
+        ),
+        (
+            # (1, 2, 3) is planar, so a d-residue gets stuck before property P
+            _torus_on_colours_3_4_5,
+            Status.NO,
+            "genus witness ((1, 4, 5), 1, 1)",
+        ),
+        (
+            lambda: build_planar_family(build_manifold(_PLANAR_BASE), 5),
+            Status.NO,
+            "component-count identity fails on I=(1, 2, 3, 4, 5): alternating sum 1 != 2",
+        ),
+        (
+            lambda: build_planar_family(build_manifold(_PLANAR_BASE), 4),
+            Status.UNKNOWN,
+            "residue I=(1, 2, 3, 4), component of vertex 1: reduction stuck "
+            "and no homology obstruction found",
+        ),
+        (
+            # both (1, 2, 4, 5)-components are stuck; the one of vertex 1
+            # keeps whites 3 and 4, the other keeps white 2
+            lambda: ColourfulGraph(
+                4, ((10, 9, 8, 6, 7),) * 3 + ((8, 7, 6, 10, 9), (10, 7, 6, 8, 9))
+            ),
+            Status.UNKNOWN,
+            "residue I=(1, 2, 4, 5), component of vertex 1: reduction stuck "
+            "and no homology obstruction found",
+        ),
+    ],
+    ids=[
+        "yes",
+        "no-on-first-triple",
+        "stuck-then-property-P",
+        "identity",
+        "unknown",
+        "unknown-names-the-first-stuck-component",
+    ],
+)
+def test_each_exit_of_the_manifold_verdict(build, status, certificate):
+    G = build()
+    v = is_manifold(G)
+    assert (v.status, v.certificate) == (status, certificate)
+    old = manifold_oracle.is_manifold(G)
+    assert old.status is status
+    if status is Status.NO:
+        assert old.certificate == certificate
+
+
+def test_a_refutation_on_the_first_triple_cancels_nothing(monkeypatch):
+    G = random_graph(5, 40, 3)
+    expected = manifold_oracle.is_manifold(random_graph(5, 40, 3))
+    cancelled = []
+    monkeypatch.setattr(_Cancellation, "cancel", lambda *move: cancelled.append(move))
+    v = is_manifold(G)
+    assert v == expected
+    assert v.certificate == "genus witness ((1, 2, 3), 1, 6)"
+    assert cancelled == []
+    assert len(G._residues) == 4
+
+
+def test_the_identity_loop_has_a_colour_budget():
+    # colours 1..7 share one matching and 8..14 another: every triple is
+    # planar and no 13-residue has a dipole, so the identities would read
+    # 2^14 partitions
+    ident, swap = (3, 4), (4, 3)
+    G = ColourfulGraph(13, (ident,) * 7 + (swap,) * 7)
+    with pytest.raises(BudgetExceeded, match="14 colours have 2\\^14 subsets"):
+        is_manifold(G)
 
 
 # -------------------------------------------- rational homology spheres
