@@ -25,8 +25,8 @@ print("The graph, in CGF:")
 print(write_cgf(G, comment="two glued tetrahedra stacks"))
 
 print("Component counts per colour subset (size;colours;kappa):")
-for cs, value in kappa_table(G).items():
-    print(f"  {len(cs)};{','.join(map(str, cs.colours())) or '-'};{value}")
+for I, value in kappa_table(G).items():
+    print(f"  {len(I)};{','.join(map(str, I)) or '-'};{value}")
 
 print()
 print("Genus of every 3-coloured residue component:")

@@ -197,10 +197,8 @@ def _run_residues(args) -> int:
 
 def _run_kappa(args) -> int:
     G = _read_graph(args.file)
-    table = kappa_table(G)
-    for cs, value in table.items():
-        label = ",".join(map(str, cs.colours())) or "-"
-        print(f"{len(cs)};{label};{value}")
+    for I, value in kappa_table(G).items():
+        print(f"{len(I)};{','.join(map(str, I)) or '-'};{value}")
     return 0
 
 

@@ -38,7 +38,7 @@ from heapq import heappop, heappush
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import Disconnected, InvalidMove
-from .graph import ColourfulGraph, ColourSetLike, _check_colours, is_connected
+from .graph import ColourfulGraph, _check_colours, is_connected
 
 
 @dataclass(frozen=True, order=True)
@@ -210,7 +210,7 @@ def melonic_reduce(G: ColourfulGraph) -> ReductionTrace:
     return ReductionTrace(moves, terminal, terminal.half == 1)
 
 
-def stuck_whites(G: ColourfulGraph, I: ColourSetLike) -> List[int]:
+def stuck_whites(G: ColourfulGraph, I: Iterable[int]) -> List[int]:
     """Surviving whites of the components of G_I whose greedy reduction is stuck.
 
     One engine reduces every component of G_I at once, in G's labels.  A

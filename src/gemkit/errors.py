@@ -41,10 +41,6 @@ class OddDimension(GemkitError):
     """Euler-Poincare identity only applies to even-dimensional complexes."""
 
 
-class PreconditionFailed(GemkitError):
-    """Strict-mode check: the input is outside a lemma's hypothesis."""
-
-
 class BadParams(GemkitError):
     """Construction parameters are invalid (including parity-breaking permutations)."""
 

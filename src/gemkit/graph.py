@@ -14,6 +14,13 @@ Such a graph encodes a coloured d-dimensional triangulation built from n
 d-simplices (one per vertex) glued facet-to-facet along edges; connected
 components of colour-subset subgraphs ("residues") are in bijection with the
 cells of that triangulation.
+
+A colour set is any iterable of colours in [1..d+1]; every function here
+reads it as the sorted tuple of its distinct colours, and tuples are what
+the functions return (``ColourfulGraph.colours``, the keys of
+``kappa_table``).  ``residues`` computes each partition once per graph and
+colour set and keeps it on the graph under the set's bitmask (bit c-1 for
+colour c); that key is private to this module.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 from .errors import (
     BudgetExceeded,
@@ -35,81 +42,11 @@ from .errors import (
     RangeError,
 )
 
-ColourSetLike = Union["ColourSet", Iterable[int]]
-
 # Most colour subsets one call may enumerate: every subset of 13 colours
 # (d = 12).  kappa_table, f_vector, order_complex and the manifold
 # verdict's identity loop read up to 2^|I| residue partitions, so a short
 # file with many colours would otherwise ask for billions of them.
 COLOUR_SUBSET_MAX = 1 << 13
-
-
-class ColourSet:
-    """An immutable subset of colours [1..d+1] stored as a bitmask.
-
-    Bit c-1 represents colour c; cardinality is O(1) via int.bit_count.
-    """
-
-    __slots__ = ("bits",)
-
-    def __init__(self, colours: Iterable[int] = ()):
-        bits = 0
-        for c in colours:
-            if not isinstance(c, int) or c < 1:
-                raise InvalidColourSet(f"colour {c!r} is not a positive integer")
-            bits |= 1 << (c - 1)
-        self.bits = bits
-
-    @classmethod
-    def from_bits(cls, bits: int) -> "ColourSet":
-        cs = cls.__new__(cls)
-        cs.bits = bits
-        return cs
-
-    def __iter__(self) -> Iterator[int]:
-        bits = self.bits
-        c = 1
-        while bits:
-            if bits & 1:
-                yield c
-            bits >>= 1
-            c += 1
-
-    def __len__(self) -> int:
-        return self.bits.bit_count()
-
-    def __contains__(self, colour: int) -> bool:
-        return colour >= 1 and bool(self.bits >> (colour - 1) & 1)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ColourSet) and self.bits == other.bits
-
-    def __hash__(self) -> int:
-        return hash(("ColourSet", self.bits))
-
-    def __le__(self, other: "ColourSet") -> bool:
-        return self.bits & ~other.bits == 0
-
-    def __repr__(self) -> str:
-        return f"ColourSet({{{', '.join(map(str, self))}}})"
-
-    def colours(self) -> Tuple[int, ...]:
-        return tuple(self)
-
-    def minus(self, other: ColourSetLike) -> "ColourSet":
-        return ColourSet.from_bits(self.bits & ~as_colour_set(other).bits)
-
-    def union(self, other: ColourSetLike) -> "ColourSet":
-        return ColourSet.from_bits(self.bits | as_colour_set(other).bits)
-
-    def subsets(self, r: int) -> Iterator["ColourSet"]:
-        """All r-element subsets, in lexicographic colour order."""
-        for combo in itertools.combinations(tuple(self), r):
-            yield ColourSet(combo)
-
-
-def as_colour_set(I: ColourSetLike) -> ColourSet:
-    return I if isinstance(I, ColourSet) else ColourSet(I)
 
 
 class ColourfulGraph:
@@ -157,8 +94,9 @@ class ColourfulGraph:
         return 2 * self.half
 
     @property
-    def colours(self) -> ColourSet:
-        return ColourSet(range(1, self.d + 2))
+    def colours(self) -> Tuple[int, ...]:
+        """All colours, (1, ..., d+1)."""
+        return tuple(range(1, self.d + 2))
 
     def partner(self, w: int, colour: int) -> int:
         """Black vertex joined to white w by the edge of the given colour."""
@@ -226,7 +164,6 @@ def count_cycles(perm: Sequence[int]) -> int:
 class ResiduePartition:
     """Connected components of G_I; shared between callers, so read-only."""
 
-    colour_set: ColourSet
     components: Tuple[Tuple[int, ...], ...]
     component_of: Mapping[int, int]
 
@@ -237,13 +174,28 @@ class ResiduePartition:
         return self.components[self.component_of[v]]
 
 
-def _check_colours(G: ColourfulGraph, I: ColourSetLike) -> ColourSet:
-    cs = as_colour_set(I)
-    high = cs.bits >> (G.d + 1)
+def _colour_bits(G: ColourfulGraph, I: Iterable[int]) -> int:
+    """The bitmask of colour set I (bit c-1 for colour c), validated against G."""
+    bits = 0
+    for c in I:
+        if not isinstance(c, int) or c < 1:
+            raise InvalidColourSet(f"colour {c!r} is not a positive integer")
+        bits |= 1 << (c - 1)
+    high = bits >> (G.d + 1)
     if high:
         c = G.d + 1 + (high & -high).bit_length()
         raise InvalidColourSet(f"colour {c} outside [1..{G.d + 1}]")
-    return cs
+    return bits
+
+
+def _colours_of(bits: int) -> Tuple[int, ...]:
+    """The sorted colours of a bitmask."""
+    return tuple(c for c in range(1, bits.bit_length() + 1) if bits >> (c - 1) & 1)
+
+
+def _check_colours(G: ColourfulGraph, I: Iterable[int]) -> Tuple[int, ...]:
+    """The sorted tuple of I's distinct colours; raises InvalidColourSet."""
+    return _colours_of(_colour_bits(G, I))
 
 
 def _check_subset_budget(colour_count: int) -> None:
@@ -255,19 +207,21 @@ def _check_subset_budget(colour_count: int) -> None:
         )
 
 
-def residues(G: ColourfulGraph, I: ColourSetLike) -> ResiduePartition:
+def residues(G: ColourfulGraph, I: Iterable[int]) -> ResiduePartition:
     """Components of G_I, ordered by minimum vertex, each sorted ascending.
 
-    The empty colour set yields n singleton components.  Each partition is
-    computed once per graph and colour set, and later calls return it.
+    I is any iterable of colours; order and repeats do not matter.  The
+    empty colour set yields n singleton components.  Each partition is
+    computed once per graph and colour set, and later calls return that
+    same object.
     """
-    cs = _check_colours(G, I)
-    part = G._residues.get(cs.bits)
+    bits = _colour_bits(G, I)
+    part = G._residues.get(bits)
     if part is None:
         # union-find with path halving; the smaller root wins, so every
         # root is its component's minimum and parent[v] <= v throughout
         parent = list(range(G.n + 1))
-        for c in cs:
+        for c in _colours_of(bits):
             for w, b in enumerate(G.matchings[c - 1], start=1):
                 while parent[w] != w:
                     parent[w] = w = parent[parent[w]]
@@ -291,55 +245,40 @@ def residues(G: ColourfulGraph, I: ColourSetLike) -> ResiduePartition:
                 idx = component_of[v] = component_of[root]
                 comps[idx].append(v)
         components = tuple(map(tuple, comps))
-        part = ResiduePartition(cs, components, MappingProxyType(component_of))
-        G._residues[cs.bits] = part
+        part = ResiduePartition(components, MappingProxyType(component_of))
+        G._residues[bits] = part
     return part
 
 
 def _check_component(
-    G: ColourfulGraph, cs: ColourSet, component: Iterable[int]
+    G: ColourfulGraph, cs: Tuple[int, ...], component: Iterable[int]
 ) -> Tuple[int, ...]:
     """The component, sorted; raises NotAComponent unless it is one of G_cs."""
     comp = tuple(sorted(component))
     part = residues(G, cs)
     idx = part.component_of.get(comp[0]) if comp else None
     if idx is None or part.components[idx] != comp:
-        raise NotAComponent(f"{comp} is not a component of the {tuple(cs)}-residue")
+        raise NotAComponent(f"{comp} is not a component of the {cs}-residue")
     return comp
 
 
-class KappaTable:
-    """Component counts kappa(J) of G_J for every colour subset J.
+def kappa_table(G: ColourfulGraph) -> Dict[Tuple[int, ...], int]:
+    """Component counts kappa(J) of G_J for all 2^(d+1) colour subsets J.
 
-    kappa(empty) = n; kappa of a single colour = n/2 (a perfect matching);
+    Keys are sorted colour tuples, inserted by size and then by bitmask
+    within a size: (), (1,), (2,), ..., (1, 2), (1, 3), (2, 3), (1, 4), ...
+    kappa(()) = n; kappa of a single colour = n/2 (a perfect matching);
     kappa of a pair = number of bicoloured cycles.
     """
-
-    __slots__ = ("d", "n", "_kappa")
-
-    def __init__(self, d: int, n: int, kappa: Dict[int, int]):
-        self.d = d
-        self.n = n
-        self._kappa = kappa
-
-    def __getitem__(self, I: ColourSetLike) -> int:
-        return self._kappa[as_colour_set(I).bits]
-
-    def items(self) -> Iterator[Tuple[ColourSet, int]]:
-        for bits in sorted(self._kappa, key=lambda b: (b.bit_count(), b)):
-            yield ColourSet.from_bits(bits), self._kappa[bits]
-
-
-def kappa_table(G: ColourfulGraph) -> KappaTable:
-    """Component counts for all 2^(d+1) colour subsets."""
     _check_subset_budget(G.d + 1)
-    return KappaTable(G.d, G.n, {
-        bits: len(residues(G, ColourSet.from_bits(bits)))
-        for bits in range(1 << (G.d + 1))
-    })
+    table = {}
+    for bits in sorted(range(1 << (G.d + 1)), key=int.bit_count):
+        J = _colours_of(bits)
+        table[J] = len(residues(G, J))
+    return table
 
 
-def kappa_r(G: ColourfulGraph, I: ColourSetLike, r: int) -> int:
+def kappa_r(G: ColourfulGraph, I: Iterable[int], r: int) -> int:
     """Sum of component counts over the r-subsets of I, computed directly.
 
     kappa_r(G, I, |J|) totals the cells of the complex of G_I having
@@ -352,10 +291,10 @@ def kappa_r(G: ColourfulGraph, I: ColourSetLike, r: int) -> int:
         return G.n
     if r == 1:
         return len(cs) * G.half
-    return sum(len(residues(G, sub)) for sub in cs.subsets(r))
+    return sum(len(residues(G, sub)) for sub in itertools.combinations(cs, r))
 
 
-def f_vector(G: ColourfulGraph, I: ColourSetLike) -> Tuple[int, ...]:
+def f_vector(G: ColourfulGraph, I: Iterable[int]) -> Tuple[int, ...]:
     """Cell counts per dimension of the complex encoded by G_I.
 
     Entry s (0 <= s <= |I|-1) counts the s-dimensional cells; the top entry
@@ -388,7 +327,7 @@ class EmbeddedResidue:
 
 
 def genus_of_residue(
-    G: ColourfulGraph, I: ColourSetLike, component: Iterable[int]
+    G: ColourfulGraph, I: Iterable[int], component: Iterable[int]
 ) -> EmbeddedResidue:
     """Genus of one connected 3-coloured residue via Euler's formula."""
     cs = _check_colours(G, I)
@@ -399,7 +338,7 @@ def genus_of_residue(
     E = 3 * V // 2
     whites = [v for v in comp if v <= G.half]
     F = 0
-    for i, j in itertools.combinations(tuple(cs), 2):
+    for i, j in itertools.combinations(cs, 2):
         # follow colour i, come back along colour j, within the component
         mi, mj = G.matchings[i - 1], G.matchings[j - 1]
         back = {mj[w - 1]: w for w in whites}
@@ -415,8 +354,7 @@ def genus_of_residue(
     if euler % 2 or euler > 2:
         raise InvariantViolated(f"residue {comp} is not orientable: V-E+F={euler}")
     genus = (2 - euler) // 2
-    i, j, k = tuple(cs)
-    return EmbeddedResidue(comp, (i, j, k), V, E, F, genus)
+    return EmbeddedResidue(comp, cs, V, E, F, genus)
 
 
 def has_property_P(G: ColourfulGraph) -> bool:
@@ -431,10 +369,12 @@ def has_property_P(G: ColourfulGraph) -> bool:
 
     which is what we test per colour triple (no per-component work needed).
     """
-    return all(
-        kappa_r(G, I, 2) == 2 * len(residues(G, I)) + G.half
-        for I in G.colours.subsets(3)
-    )
+    return all(_planar_triple(G, I) for I in itertools.combinations(G.colours, 3))
+
+
+def _planar_triple(G: ColourfulGraph, I: Tuple[int, int, int]) -> bool:
+    """Property P's identity on one colour triple: every G_I component is planar."""
+    return kappa_r(G, I, 2) == 2 * len(residues(G, I)) + G.half
 
 
 def is_connected(G: ColourfulGraph) -> bool:
@@ -442,7 +382,7 @@ def is_connected(G: ColourfulGraph) -> bool:
 
 
 def residue_subgraph(
-    G: ColourfulGraph, I: ColourSetLike, component: Iterable[int]
+    G: ColourfulGraph, I: Iterable[int], component: Iterable[int]
 ) -> ColourfulGraph:
     """Standalone |I|-colourful graph for one residue component.
 
@@ -466,8 +406,8 @@ def residue_subgraph(
 
 def colour_deleted_components(G: ColourfulGraph, colour: int) -> List[ColourfulGraph]:
     """Connected components of G with one colour removed, as d-colourful graphs."""
-    cs = _check_colours(G, [colour])
-    keep = G.colours.minus(cs)
+    _check_colours(G, [colour])
+    keep = tuple(c for c in G.colours if c != colour)
     part = residues(G, keep)
     return [residue_subgraph(G, keep, comp) for comp in part.components]
 

@@ -25,17 +25,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .errors import InvalidColourSet, InvariantViolated, RangeError
-from .graph import (
-    ColourfulGraph,
-    ColourSet,
-    ColourSetLike,
-    _check_colours,
-    _check_subset_budget,
-    residues,
-)
+from .graph import ColourfulGraph, _check_colours, _check_subset_budget, residues
 
 # A sparse column: list of (row index, +-1 incidence sign).
 Column = List[Tuple[int, int]]
@@ -65,33 +58,28 @@ class OrderComplex:
         return sum((-1) ** k * f for k, f in enumerate(self._f_counts))
 
 
-def order_complex(G: ColourfulGraph, I: ColourSetLike) -> OrderComplex:
+def order_complex(G: ColourfulGraph, I: Iterable[int]) -> OrderComplex:
     """Coloured Δ-complex of the space encoded by G_I, one cell per residue."""
-    cs = _check_colours(G, I)
-    if len(cs) < 1:
+    colours = _check_colours(G, I)
+    if len(colours) < 1:
         raise InvalidColourSet("order complex needs at least one colour")
-    _check_subset_budget(len(cs))
-    colours = tuple(cs)
-    # index of the first cell of each colour subset S among the cells of
-    # dimension |S| - 1
-    offset: Dict[int, int] = {}
+    _check_subset_budget(len(colours))
+    # for each colour subset S: the index of its first cell among the cells
+    # of dimension |S| - 1, and the component index of each vertex in the
+    # residue on I \ S
+    cells: Dict[Tuple[int, ...], Tuple[int, Mapping[int, int]]] = {}
     f_counts: List[int] = []
     boundaries: List[List[Column]] = []
     for r in range(1, len(colours) + 1):
         count = 0
         cols: List[Column] = []
-        for combo in itertools.combinations(colours, r):
-            s_bits = ColourSet(combo).bits
-            part = residues(G, ColourSet.from_bits(cs.bits & ~s_bits))
-            offset[s_bits] = count
+        for S in itertools.combinations(colours, r):
+            part = residues(G, [c for c in colours if c not in S])
+            cells[S] = (count, part.component_of)
             count += len(part)
             if r == 1:
                 continue
-            faces = []
-            for p, c in enumerate(combo):
-                face = s_bits & ~(1 << (c - 1))
-                face_part = residues(G, ColourSet.from_bits(cs.bits & ~face))
-                faces.append((offset[face], face_part.component_of, (-1) ** p))
+            faces = [(*cells[S[:p] + S[p + 1:]], (-1) ** p) for p in range(r)]
             for comp in part.components:
                 cols.append([(off + index[comp[0]], sign) for off, index, sign in faces])
         f_counts.append(count)

@@ -24,26 +24,20 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Tuple
+from typing import Iterable, Tuple
 
 from .dipoles import melonic_reduce, stuck_whites
-from .errors import (
-    Disconnected,
-    InvalidColourSet,
-    InvariantViolated,
-    OddDimension,
-    PreconditionFailed,
-)
+from .errors import Disconnected, InvalidColourSet, InvariantViolated, OddDimension
 from .graph import (
     ColourfulGraph,
-    ColourSetLike,
     _check_colours,
     _check_component,
-    _check_subset_budget,
+    _planar_triple,
     genus_of_residue,
     has_property_P,
     is_connected,
     kappa_r,
+    kappa_table,
     residue_subgraph,
     residues,
 )
@@ -159,8 +153,7 @@ def is_manifold(G: ColourfulGraph) -> TopologyVerdict:
         if not has_property_P(G):
             return _no(_positive_genus_witness(G))
         return _yes("every 3-residue component has genus 0")
-    # property P's identity on one triple (see has_property_P)
-    if kappa_r(G, (1, 2, 3), 2) != 2 * len(residues(G, (1, 2, 3))) + G.half:
+    if not _planar_triple(G, (1, 2, 3)):
         return _no(_positive_genus_witness(G))
 
     for I in itertools.combinations(range(1, G.d + 2), G.d):
@@ -181,11 +174,18 @@ def is_manifold(G: ColourfulGraph) -> TopologyVerdict:
 
     if not has_property_P(G):
         return _no(_positive_genus_witness(G))
-    # necessary identity on even-dimensional residues; |I| = 3 is property P
-    _check_subset_budget(G.d + 1)
+    # necessary identity on even-dimensional residues (see
+    # euler_poincare_check); |I| = 3 is property P.  One table serves every
+    # I: the subsets of all odd-size I number about 3^(d+1)/2.
+    kappa = kappa_table(G)
     for m in range(5, G.d + 1, 2):
-        for I in itertools.combinations(range(1, G.d + 2), m):
-            lhs, rhs = _euler_poincare_sides(G, I)
+        for I in itertools.combinations(G.colours, m):
+            lhs = sum(
+                (-1) ** r * kappa[J]
+                for r in range(m)
+                for J in itertools.combinations(I, r)
+            )
+            rhs = 2 * kappa[I]
             if lhs != rhs:
                 return _no(
                     f"component-count identity fails on I={I}: "
@@ -205,7 +205,7 @@ def is_manifold(G: ColourfulGraph) -> TopologyVerdict:
 
 
 def is_rational_homology_sphere(
-    G: ColourfulGraph, I: ColourSetLike, component
+    G: ColourfulGraph, I: Iterable[int], component
 ) -> TopologyVerdict:
     """Exact: does the residue component have the rational homology of a sphere?
 
@@ -226,8 +226,8 @@ def is_rational_homology_sphere(
     if size == 3:
         emb = genus_of_residue(G, cs, component)
         if emb.genus == 0:
-            return _yes(f"genus witness ({tuple(cs)}, {min(component)}, 0)")
-        return _no(f"genus witness ({tuple(cs)}, {min(component)}, {emb.genus})")
+            return _yes(f"genus witness ({cs}, {min(component)}, 0)")
+        return _no(f"genus witness ({cs}, {min(component)}, {emb.genus})")
     sub = residue_subgraph(G, cs, component)
     K = order_complex(sub, range(1, size + 1))
     b = betti_numbers(K)
@@ -236,7 +236,7 @@ def is_rational_homology_sphere(
     return _no(f"betti {b.betti}")
 
 
-def euler_poincare_check(G: ColourfulGraph, I: ColourSetLike) -> bool:
+def euler_poincare_check(G: ColourfulGraph, I: Iterable[int]) -> bool:
     """Alternating component-count identity on even-dimensional residues.
 
     For |I| = m with m odd (the encoded complex has even dimension m-1),
@@ -249,15 +249,8 @@ def euler_poincare_check(G: ColourfulGraph, I: ColourSetLike) -> bool:
         raise OddDimension(
             f"identity applies to odd |I| (even complex dimension); got |I|={m}"
         )
-    lhs, rhs = _euler_poincare_sides(G, cs)
-    return lhs == rhs
-
-
-def _euler_poincare_sides(G: ColourfulGraph, I: ColourSetLike) -> Tuple[int, int]:
-    """Both sides of sum_{r=0}^{m-1} (-1)^r kappa_r(I) == 2 kappa(I), m = |I|."""
-    cs = _check_colours(G, I)
-    lhs = sum((-1) ** r * kappa_r(G, cs, r) for r in range(len(cs)))
-    return lhs, 2 * len(residues(G, cs))
+    lhs = sum((-1) ** r * kappa_r(G, cs, r) for r in range(m))
+    return lhs == 2 * len(residues(G, cs))
 
 
 @dataclass(frozen=True)
@@ -276,14 +269,11 @@ class LemmaWitness:
     hypothesis_met: bool
 
 
-def lemma1_witness(
-    G: ColourfulGraph, I: ColourSetLike, strict: bool = False
-) -> LemmaWitness:
+def lemma1_witness(G: ColourfulGraph, I: Iterable[int]) -> LemmaWitness:
     """Minimize kappa(i,j) - kappa(I) over pairs in a 3-set; bound n/6.
 
-    Hypothesis: every component of G_I has genus 0.  With strict=True a
-    failed hypothesis raises; otherwise the raw minimum is returned with
-    hypothesis_met=False.
+    Hypothesis: every component of G_I has genus 0.  When it fails, the raw
+    minimum is returned with hypothesis_met=False.
     """
     cs = _check_colours(G, I)
     if len(cs) != 3:
@@ -292,11 +282,9 @@ def lemma1_witness(
     hypothesis = all(
         genus_of_residue(G, cs, comp).genus == 0 for comp in part.components
     )
-    if strict and not hypothesis:
-        raise PreconditionFailed("a component of G_I has positive genus")
     k_full = len(part)
     best = None
-    for i, j in itertools.combinations(tuple(cs), 2):
+    for i, j in itertools.combinations(cs, 2):
         value = len(residues(G, (i, j))) - k_full
         if best is None or value < best[1]:
             best = ((i, j), value)
@@ -304,13 +292,12 @@ def lemma1_witness(
     return LemmaWitness(best[0], best[1], bound, bound - best[1], hypothesis)
 
 
-def lemma2_witness(
-    G: ColourfulGraph, I: ColourSetLike, strict: bool = False
-) -> LemmaWitness:
+def lemma2_witness(G: ColourfulGraph, I: Iterable[int]) -> LemmaWitness:
     """Minimize kappa(i,j) - kappa(i,j,k) over triples in a 5-set; bound 3n/20.
 
     Hypothesis: every component of G_I has the rational homology of a
-    4-sphere.  Same strict/flagged behaviour as the 3-set witness.
+    4-sphere.  When it fails, the raw minimum is returned with
+    hypothesis_met=False.
     """
     cs = _check_colours(G, I)
     if len(cs) != 5:
@@ -320,12 +307,10 @@ def lemma2_witness(
         is_rational_homology_sphere(G, cs, comp).status is Status.YES
         for comp in part.components
     )
-    if strict and not hypothesis:
-        raise PreconditionFailed("a component of G_I is not a rational homology sphere")
     best = None
-    for i, j in itertools.combinations(tuple(cs), 2):
+    for i, j in itertools.combinations(cs, 2):
         k_pair = len(residues(G, (i, j)))
-        for k in cs.minus((i, j)):
+        for k in (k for k in cs if k not in (i, j)):
             value = k_pair - len(residues(G, (i, j, k)))
             if best is None or value < best[1]:
                 best = ((i, j, k), value)

@@ -12,33 +12,31 @@ the two builders are the cross-check; the rank computation is shared.
 import itertools
 from typing import List, Tuple
 
-from gemkit import ColourSet, OrderComplex, residues
+from gemkit import OrderComplex, residues
 from gemkit.graph import _check_colours
 
 
 def barycentric_complex(G, I) -> OrderComplex:
-    cs = _check_colours(G, I)
-    colours = tuple(cs)
-    # cells as (level, colour bits, component index, minimum vertex)
+    colours = _check_colours(G, I)
+    # cells as (level, colour subset, component index, minimum vertex)
     partitions = {}
-    cells: List[Tuple[int, int, int, int]] = []
+    cells: List[Tuple[int, Tuple[int, ...], int, int]] = []
     for r in range(1, len(colours) + 1):
         level = []
-        for combo in itertools.combinations(colours, r):
-            s_bits = ColourSet(combo).bits
-            part = residues(G, ColourSet.from_bits(cs.bits & ~s_bits))
-            partitions[s_bits] = part
+        for S in itertools.combinations(colours, r):
+            part = residues(G, [c for c in colours if c not in S])
+            partitions[S] = part
             for idx, comp in enumerate(part.components):
-                level.append((r, s_bits, idx, comp[0]))
+                level.append((r, S, idx, comp[0]))
         level.sort(key=lambda e: (e[3], e[1]))
         cells.extend(level)
 
     # successors[i] = cells j with cell i strictly below cell j
     successors: List[List[int]] = [[] for _ in cells]
-    for j, (level_j, bits_j, _, rep) in enumerate(cells):
-        for i, (level_i, bits_i, idx_i, _) in enumerate(cells):
-            if level_i < level_j and not bits_i & ~bits_j:
-                if partitions[bits_i].component_of[rep] == idx_i:
+    for j, (level_j, S_j, _, rep) in enumerate(cells):
+        for i, (level_i, S_i, idx_i, _) in enumerate(cells):
+            if level_i < level_j and set(S_i) <= set(S_j):
+                if partitions[S_i].component_of[rep] == idx_i:
                     successors[i].append(j)
 
     simplices = [[(i,) for i in range(len(cells))]]

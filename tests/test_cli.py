@@ -108,14 +108,70 @@ def test_residues_rejects_bad_colours(tetra_file, capsys):
     assert exc.value.code == 64
 
 
-def test_kappa_rows(tetra_file, capsys):
-    assert run(["kappa", tetra_file]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "0;-;4"
-    assert "3;1,2,3;2" in lines
-    assert "3;1,2,4;1" in lines
-    assert "4;1,2,3,4;1" in lines
-    assert len(lines) == 16  # all subsets of 4 colours
+# every colour subset, by size and then by bitmask within a size (so 1,4
+# follows 2,3), as size;colours;kappa
+KAPPA_TETRA = """\
+0;-;4
+1;1;2
+1;2;2
+1;3;2
+1;4;2
+2;1,2;2
+2;1,3;2
+2;2,3;2
+2;1,4;1
+2;2,4;1
+2;3,4;1
+3;1,2,3;2
+3;1,2,4;1
+3;1,3,4;1
+3;2,3,4;1
+4;1,2,3,4;1
+"""
+
+KAPPA_D4 = """\
+0;-;6
+1;1;3
+1;2;3
+1;3;3
+1;4;3
+1;5;3
+2;1,2;1
+2;1,3;1
+2;2,3;1
+2;1,4;3
+2;2,4;1
+2;3,4;1
+2;1,5;2
+2;2,5;2
+2;3,5;2
+2;4,5;2
+3;1,2,3;1
+3;1,2,4;1
+3;1,3,4;1
+3;2,3,4;1
+3;1,2,5;1
+3;1,3,5;1
+3;2,3,5;1
+3;1,4,5;2
+3;2,4,5;1
+3;3,4,5;1
+4;1,2,3,4;1
+4;1,2,3,5;1
+4;1,2,4,5;1
+4;1,3,4,5;1
+4;2,3,4,5;1
+5;1,2,3,4,5;1
+"""
+
+
+def test_kappa_rows(tmp_path, capsys):
+    d4 = ColourfulGraph(4, ((4, 5, 6), (5, 6, 4), (6, 4, 5), (4, 5, 6), (5, 4, 6)))
+    for G, expected in ((two_tetrahedra_graph(), KAPPA_TETRA), (d4, KAPPA_D4)):
+        path = tmp_path / f"d{G.d}.cgf"
+        path.write_text(write_cgf(G))
+        assert run(["kappa", str(path)]) == 0
+        assert capsys.readouterr().out == expected
 
 
 def test_genus_rows(torus_file, capsys):

@@ -2,14 +2,12 @@
 
 import copy
 import itertools
-import math
 import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gemkit import (
-    ColourSet,
     ColourfulGraph,
     EmbeddedResidue,
     InvalidColourSet,
@@ -31,6 +29,7 @@ from gemkit import (
     residue_subgraph,
     residues,
 )
+from gemkit.graph import _check_colours
 from conftest import (
     circle_graph,
     dipole_graph,
@@ -52,32 +51,23 @@ def colourful_graphs(draw, max_d=4, max_half=4):
     return ColourfulGraph(d, ms)
 
 
-# ---------------------------------------------------------------- ColourSet
+# -------------------------------------------------------------- colour sets
 
 
 def test_colour_set_iterates_sorted_and_deduplicates():
-    cs = ColourSet([3, 1, 3, 2])
-    assert list(cs) == [1, 2, 3]
-    assert len(cs) == 3
-    assert 2 in cs and 5 not in cs
+    G = two_tetrahedra_graph()
+    assert G.colours == (1, 2, 3, 4)
+    assert _check_colours(G, [3, 1, 3, 2]) == (1, 2, 3)
+    assert _check_colours(G, iter([4, 2])) == (2, 4)
+    assert _check_colours(G, ()) == ()
+    assert residues(G, [3, 1, 3, 2]) is residues(G, (1, 2, 3))
 
 
-def test_colour_set_algebra():
-    a = ColourSet([1, 2, 3])
-    b = ColourSet([3, 4])
-    assert a.minus(b) == ColourSet([1, 2])
-    assert a.union(b) == ColourSet([1, 2, 3, 4])
-    assert ColourSet([1, 2]) <= a
-    assert not (a <= b)
-    assert ColourSet.from_bits(0b1010) == ColourSet([2, 4])
-
-
-def test_colour_set_subsets_exhaust_combinations():
-    cs = ColourSet([1, 2, 4, 5])
-    subs = list(cs.subsets(2))
-    assert len(subs) == math.comb(4, 2)
-    assert ColourSet([2, 5]) in subs
-    assert len(set(subs)) == len(subs)
+def test_colour_set_rejects_non_colours():
+    # every colour is checked before the range, in iteration order
+    for I, named in (((1, "2"), "'2'"), ((7, 0), "0"), ((2, -1, 1.0), "-1"), ((None,), "None")):
+        with pytest.raises(InvalidColourSet, match=rf"^colour {named} is not a positive integer$"):
+            residues(two_tetrahedra_graph(), I)
 
 
 # ------------------------------------------------------------- construction
@@ -161,16 +151,16 @@ def test_residues_rejects_unknown_colour():
 @given(colourful_graphs())
 def test_kappa_table_matches_direct_component_counts(G):
     table = kappa_table(G)
-    for r in range(G.d + 2):
-        for I in G.colours.subsets(r):
-            assert table[I] == len(residue_components(G, I))
+    subsets = [I for r in range(G.d + 2) for I in itertools.combinations(G.colours, r)]
+    assert sorted(table) == sorted(subsets)
+    for I in subsets:
+        assert table[I] == len(residue_components(G, I))
 
 
 @settings(max_examples=60, deadline=None)
 @given(colourful_graphs(max_d=4, max_half=5))
 def test_residue_engine_matches_bfs_oracle(G):
-    for bits in range(1 << (G.d + 1)):
-        I = ColourSet.from_bits(bits)
+    for I in (I for r in range(G.d + 2) for I in itertools.combinations(G.colours, r)):
         part = residues(G, I)
         assert part.components == residue_components(G, I)
         for idx, comp in enumerate(part.components):
@@ -178,7 +168,7 @@ def test_residue_engine_matches_bfs_oracle(G):
         if len(I) == 2:
             assert len(residues(G, set(I))) == G.cycles_of_pair(*I)
         assert residues(G, I) is part
-        assert residues(G, tuple(I)) is part
+        assert residues(G, list(I[::-1] + I)) is part
         with pytest.raises(TypeError):
             part.component_of[1] = 0
 
@@ -205,9 +195,9 @@ def test_pickle_and_copy_rebuild_without_the_memo():
 def test_kappa_r_is_the_subset_sum(G, data):
     table = kappa_table(G)
     size = data.draw(st.integers(1, G.d + 1))
-    I = ColourSet(data.draw(st.permutations(range(1, G.d + 2)))[:size])
+    I = tuple(data.draw(st.permutations(range(1, G.d + 2)))[:size])
     for r in range(len(I) + 1):
-        expected = sum(table[J] for J in I.subsets(r))
+        expected = sum(table[tuple(sorted(J))] for J in itertools.combinations(I, r))
         assert kappa_r(G, I, r) == expected
 
 
@@ -222,7 +212,7 @@ def test_kappa_values_two_tetrahedra():
 
 
 def test_kappa_table_items_sorted_by_size():
-    sizes = [len(I) for I, _ in kappa_table(torus_graph()).items()]
+    sizes = [len(I) for I in kappa_table(torus_graph())]
     assert sizes == sorted(sizes)
 
 
@@ -311,7 +301,7 @@ def test_residue_subgraph_relabels_canonically():
     assert sub.d == 1
     assert sub.n == len(comp)
     # colours renumbered 1..|I| preserving order
-    assert sub.colours == ColourSet([1, 2])
+    assert sub.colours == (1, 2)
 
 
 def test_residue_subgraph_needs_two_colours():

@@ -1,6 +1,7 @@
 """Rules on the library source itself."""
 
 import ast
+import re
 from pathlib import Path
 
 import gemkit
@@ -33,3 +34,18 @@ def test_package_exports_exactly_what_it_imports():
     ]
     assert gemkit.__all__ == sorted(set(gemkit.__all__))
     assert set(gemkit.__all__) == set(imported)
+
+
+def test_only_graph_knows_the_colour_bitmask():
+    # residues() keeps each partition under its colour set's bitmask; every
+    # other module passes colour tuples, so that key can change in one file
+    package = Path(gemkit.__file__).resolve().parent
+    mention = re.compile(r"\.bits\b|\bfrom_bits\b|\b_residues\b")
+    found = [
+        f"{path.name}:{lineno}"
+        for path in sorted(package.rglob("*.py"))
+        if path.name != "graph.py"
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+        if mention.search(line)
+    ]
+    assert found == []
