@@ -34,12 +34,11 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .constructions import SeedLike, _rng, build_manifold, random_construction_params
 from .dipoles import melonic_reduce
-from .errors import BadParams, BudgetExceeded, InvariantViolated, NotBipartite, RangeError
+from .errors import BadParams, BudgetExceeded, InvariantViolated, RangeError
 from .graph import (
     ColourfulGraph,
     complex_vertex_count,
     count_cycles,
-    from_coloured_edges,
     genus_of_residue,
     has_property_P,
     is_connected,
@@ -116,17 +115,21 @@ def _census_perms(d: int, n: int, budget: int) -> List[Tuple[int, ...]]:
     """Bijections from the white set onto the black set, sorted, for a checked size.
 
     The budget bounds the (n/2)!^(d+1) tuples the census stands for, not
-    the (n/2)!^d it visits.
+    the (n/2)!^d it visits.  The check builds (n/2)! one factor at a time
+    and stops once a partial product's (d+1)-th power passes the budget;
+    from 2 on, a power of more than budget.bit_length() factors does.
     """
     if n % 2 or n < 2:
         raise BadParams(f"n must be even and >= 2, got {n}")
-    total = tuple_count(d, n)
-    if total > budget:
-        raise BudgetExceeded(
-            f"(n/2)!^(d+1) = {total} exceeds budget {budget}; raise the budget"
-        )
     if d < 1:
         raise RangeError(f"dimension d must be >= 1, got {d}")
+    partial = 1
+    for k in range(1, n // 2 + 1):
+        partial *= k
+        if (partial > 1 and d + 1 > budget.bit_length()) or partial ** (d + 1) > budget:
+            raise BudgetExceeded(
+                f"(n/2)!^(d+1) for n={n}, d={d} exceeds budget {budget}; raise the budget"
+            )
     return sorted(itertools.permutations(range(n // 2 + 1, n + 1)))
 
 
@@ -197,42 +200,66 @@ class LabelledCensus:
     total_tuples: int
 
 
-def enumerate_labelled(
-    d: int,
-    n: int,
-    classifier: Callable[[ColourfulGraph], FrozenSet[str]] = classify,
-    budget: int = DEFAULT_BUDGET,
-) -> LabelledCensus:
+def _two_colouring(tup: Tuple[Tuple[int, ...], ...], n: int) -> Optional[List[int]]:
+    """Sides (0 white, 1 black) of [1..n] in the union of tup, or None on an odd cycle.
+
+    One search runs from the smallest vertex of each component, which takes
+    the white side.
+    """
+    side = [-1] * (n + 1)
+    for start in range(1, n + 1):
+        if side[start] >= 0:
+            continue
+        side[start] = 0
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            other = side[v] ^ 1
+            for m in tup:
+                u = m[v - 1]
+                if side[u] < 0:
+                    side[u] = other
+                    stack.append(u)
+                elif side[u] != other:
+                    return None
+    return side
+
+
+def enumerate_labelled(d: int, n: int) -> LabelledCensus:
     """Naive labelled enumeration: every tuple of perfect matchings of [1..n].
 
-    No symmetry shortcuts: each tuple is kept iff the union is bipartite,
-    then relabelled canonically only to evaluate the (label-invariant)
-    classifier.  Counts are raw tallies of labelled tuples.
+    No symmetry shortcuts: each tuple is 2-coloured by a search from the
+    smallest vertex of each component of its union, which goes on the
+    white side; an edge joining two vertices of one side closes an odd
+    cycle, and the tuple is skipped.  A kept tuple is relabelled only to
+    evaluate the (label-invariant) classify: whites become 1..n/2 and
+    blacks n/2+1..n, each in ascending label order.  Counts are raw
+    tallies of labelled tuples.
     """
-    pms = all_perfect_matchings(n)
-    total = len(pms) ** (d + 1)
-    if total > budget:
+    # (n-1)!! matchings, counted before any is built
+    total = math.prod(range(n - 1, 0, -2)) ** (d + 1)
+    if total > DEFAULT_BUDGET:
         raise BudgetExceeded(
-            f"matchings^(d+1) = {total} exceeds budget {budget}"
+            f"matchings^(d+1) = {total} exceeds budget {DEFAULT_BUDGET}"
         )
+    pms = all_perfect_matchings(n)
     counts: Dict[str, int] = {cls: 0 for cls in CLASSES}
     cache: Dict[ColourfulGraph, FrozenSet[str]] = {}
     bipartite = 0
+    new_id = [0] * (n + 1)
     for tup in itertools.product(pms, repeat=d + 1):
-        edges = [
-            (v, m[v - 1], c)
-            for c, m in enumerate(tup, start=1)
-            for v in range(1, n + 1)
-            if v < m[v - 1]
-        ]
-        try:
-            G = from_coloured_edges(d, n, edges)
-        except NotBipartite:
+        side = _two_colouring(tup, n)
+        if side is None:
             continue
         bipartite += 1
+        whites = [v for v in range(1, n + 1) if side[v] == 0]
+        blacks = [v for v in range(1, n + 1) if side[v] == 1]
+        for i, b in enumerate(blacks, start=n // 2 + 1):
+            new_id[b] = i
+        G = ColourfulGraph(d, [[new_id[m[w - 1]] for w in whites] for m in tup])
         names = cache.get(G)
         if names is None:
-            names = classifier(G)
+            names = classify(G)
             cache[G] = names
         for cls in names:
             counts[cls] += 1
@@ -517,17 +544,16 @@ class StatsReport:
         return out
 
 
-def vn_experiment(
-    ks: Sequence[int], samples: int, seed: int = 0, d: int = 3
-) -> StatsReport:
+def vn_experiment(ks: Sequence[int], samples: int, seed: int = 0) -> StatsReport:
     """Vertex counts and cycle statistics of glued constructions, not uniform manifolds.
 
-    Built graphs need valid (sigma, tau) pairs (parity-preserving when d is
-    odd), so the per-row cycle mean over those pairs is reported separately
-    from the unrestricted-uniform simulation mean that tracks H_k.
+    Built graphs (d = 3) need valid (sigma, tau) pairs (parity-preserving
+    as d is odd), so the per-row cycle mean over those pairs is reported
+    separately from the unrestricted-uniform simulation mean that tracks H_k.
     """
     if samples < 1:
         raise RangeError(f"samples must be >= 1, got {samples}")
+    d = 3
     rng = _rng(seed)
     rows = []
     for k in ks:

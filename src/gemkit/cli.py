@@ -285,8 +285,6 @@ def _run_random(args) -> int:
 
 
 def _run_census(args) -> int:
-    total = census_mod.tuple_count(args.d, args.n)
-    print(f"tuples: {total}")
     emit = None
     if args.emit_graphs:
         os.makedirs(args.emit_graphs, exist_ok=True)
@@ -300,6 +298,7 @@ def _run_census(args) -> int:
                 fh.write(write_cgf(G, comment=f"census d={args.d} n={args.n} classes={tag}"))
 
     report = census_mod.enumerate_census(args.d, args.n, budget=args.budget, emit=emit)
+    print(f"tuples: {census_mod.tuple_count(args.d, args.n)}")
     print("class,canonical,labelled")
     for row in report.rows():
         print(row)

@@ -53,10 +53,6 @@ class OddN(GemkitError):
     """Colourful graphs need an even number of vertices."""
 
 
-class NotBipartite(GemkitError):
-    """The coloured edge list contains an odd cycle."""
-
-
 class BudgetExceeded(GemkitError):
     """Enumeration size exceeds the configured budget."""
 

@@ -95,9 +95,9 @@ def write_cgf(G: ColourfulGraph, comment: Optional[str] = None) -> str:
     return "\n".join(out) + "\n"
 
 
-def to_dot(G: ColourfulGraph, name: str = "G") -> str:
-    """DOT export: whites w1.., blacks b1.., edge colours from PALETTE."""
-    out = [f"graph {name} {{"]
+def to_dot(G: ColourfulGraph) -> str:
+    """DOT export of graph G: whites w1.., blacks b1.., edge colours from PALETTE."""
+    out = ["graph G {"]
     for w in range(1, G.half + 1):
         out.append(f'  w{w} [shape=circle, fillcolor=white, style=filled];')
     for b in range(1, G.half + 1):

@@ -7,8 +7,7 @@ classes.  We store the graph as d+1 bijections from white vertices to black
 vertices, which makes regularity and properness structurally unviolable.
 
 Vertex labelling convention: white vertices are 1..n/2, black vertices are
-n/2+1..n.  External formats with arbitrary labels are relabelled to this
-canonical form at the boundary (see ``from_coloured_edges``).
+n/2+1..n.
 
 Such a graph encodes a coloured d-dimensional triangulation built from n
 d-simplices (one per vertex) glued facet-to-facet along edges; connected
@@ -28,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .errors import (
     BudgetExceeded,
@@ -37,8 +36,6 @@ from .errors import (
     LengthMismatch,
     NotABijection,
     NotAComponent,
-    NotBipartite,
-    OddN,
     RangeError,
 )
 
@@ -121,12 +118,6 @@ class ColourfulGraph:
     def cycles_of_pair(self, i: int, j: int) -> int:
         """Number of bicoloured cycles using colours i and j."""
         return count_cycles(self.pair_permutation(i, j))
-
-    def edges(self) -> Iterator[Tuple[int, int, int]]:
-        """All edges as (white, black, colour), colour-major order."""
-        for c, m in enumerate(self.matchings, start=1):
-            for w, b in enumerate(m, start=1):
-                yield (w, b, c)
 
     def __eq__(self, other) -> bool:
         return (
@@ -416,62 +407,3 @@ def complex_vertex_count(G: ColourfulGraph) -> int:
     """Vertices of the encoded complex: components over all d-subsets of colours."""
     return kappa_r(G, G.colours, G.d)
 
-
-def from_coloured_edges(
-    d: int, n: int, edges: Iterable[Tuple[int, int, int]]
-) -> ColourfulGraph:
-    """Canonicalize an arbitrary labelled edge list into a ColourfulGraph.
-
-    edges are (u, v, colour) over any vertex labels; each vertex must meet
-    every colour in [1..d+1] exactly once and the graph must be bipartite.
-    The white class is chosen per component as the side containing the
-    component's minimum vertex; whites are then relabelled 1..n/2 in
-    ascending label order and blacks n/2+1..n likewise.
-    """
-    if n % 2:
-        raise OddN(f"n must be even, got {n}")
-    incidence: Dict[int, Dict[int, int]] = {}
-    adj: Dict[int, List[int]] = {}
-    count = 0
-    for u, v, c in edges:
-        count += 1
-        if not 1 <= c <= d + 1:
-            raise InvalidColourSet(f"colour {c} outside [1..{d + 1}]")
-        for x, y in ((u, v), (v, u)):
-            slots = incidence.setdefault(x, {})
-            if c in slots:
-                raise NotABijection(f"vertex {x} has two edges of colour {c}")
-            slots[c] = y
-            adj.setdefault(x, []).append(y)
-    if len(incidence) != n or count != n * (d + 1) // 2:
-        raise LengthMismatch(
-            f"expected {n} vertices with {d + 1} edges each, got {len(incidence)} "
-            f"vertices and {count} edges"
-        )
-    for x, slots in incidence.items():
-        if len(slots) != d + 1:
-            raise NotABijection(f"vertex {x} misses some colour")
-    side: Dict[int, int] = {}
-    for start in sorted(incidence):
-        if start in side:
-            continue
-        side[start] = 0
-        queue = [start]
-        while queue:
-            x = queue.pop()
-            for y in adj[x]:
-                if y not in side:
-                    side[y] = side[x] ^ 1
-                    queue.append(y)
-                elif side[y] == side[x]:
-                    raise NotBipartite(f"odd cycle through vertices {x} and {y}")
-    whites = sorted(v for v in incidence if side[v] == 0)
-    blacks = sorted(v for v in incidence if side[v] == 1)
-    if not len(whites) == len(blacks) == n // 2:
-        raise InvariantViolated(f"{len(whites)} white vs {len(blacks)} black vertices")
-    new_id = {v: i for i, v in enumerate(whites, start=1)}
-    new_id.update({v: n // 2 + i for i, v in enumerate(blacks, start=1)})
-    matchings = []
-    for c in range(1, d + 2):
-        matchings.append(tuple(new_id[incidence[w][c]] for w in whites))
-    return ColourfulGraph(d, matchings)

@@ -88,10 +88,11 @@ def test_03_torus_witness():
 
 def test_04_census_cross_validation():
     with time_budget(300):
-        for n in (2, 4, 6):
-            fast = enumerate_census(3, n)
-            slow = enumerate_labelled(3, n)
-            assert fast.labelled_counts == slow.counts, f"n={n}"
+        # (2, 6) and (4, 4) also reject tuples with odd cycles
+        for d, n in ((3, 2), (3, 4), (3, 6), (2, 6), (4, 4)):
+            fast = enumerate_census(d, n)
+            slow = enumerate_labelled(d, n)
+            assert fast.labelled_counts == slow.counts, f"d={d} n={n}"
         assert enumerate_census(3, 2).labelled_counts["manifold"] == 1
 
 

@@ -131,6 +131,16 @@ def test_labelled_oracle_agrees_at_n4():
     assert census.counts == LABELLED_D3_N4
 
 
+@pytest.mark.parametrize(
+    "d, n, total, bipartite",
+    [(2, 4, 27, 21), (2, 6, 3375, 1845), (4, 4, 243, 93), (1, 8, 11025, 11025)],
+)
+def test_labelled_oracle_skips_tuples_with_odd_cycles(d, n, total, bipartite):
+    # every union of two perfect matchings is bipartite, so d = 1 keeps all
+    census = enumerate_labelled(d, n)
+    assert (census.total_tuples, census.bipartite_tuples) == (total, bipartite)
+
+
 def test_census_d2_n6_frozen_counts():
     report = enumerate_census(2, 6)
     assert report.counts["all"] == 216
@@ -179,6 +189,9 @@ def test_census_budget():
         enumerate_census(3, 6, budget=100)
     with pytest.raises(BadParams):
         enumerate_census(3, 5)
+    # refused before any of the 29!! matchings of [1..30] is built
+    with pytest.raises(BudgetExceeded):
+        enumerate_labelled(3, 30)
 
 
 def test_budget_counts_every_tuple_even_in_a_shard():
@@ -190,7 +203,24 @@ def test_budget_counts_every_tuple_even_in_a_shard():
     ):
         with pytest.raises(BudgetExceeded) as exc:
             run()
-        assert str(exc.value) == "(n/2)!^(d+1) = 1296 exceeds budget 1000; raise the budget"
+        assert str(exc.value) == (
+            "(n/2)!^(d+1) for n=6, d=3 exceeds budget 1000; raise the budget"
+        )
+
+
+def test_budget_check_agrees_with_the_full_product():
+    # the factor-by-factor check refuses exactly the sizes whose whole
+    # product (n/2)!^(d+1) passes the budget, also where it never builds it
+    budgets = [0, 1] + [2**b + e for b in range(1, 40) for e in (-1, 0)]
+    for d in range(1, 42):
+        for n in (2, 4, 6, 8):
+            for budget in budgets:
+                try:
+                    census._census_perms(d, n, budget)
+                    refused = False
+                except BudgetExceeded:
+                    refused = True
+                assert refused == (tuple_count(d, n) > budget), (d, n, budget)
 
 
 def test_all_perfect_matchings_counts():

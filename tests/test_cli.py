@@ -300,6 +300,19 @@ def test_census_budget_exit(capsys):
     assert "raise the budget" in err and "shard" not in err
 
 
+@pytest.mark.parametrize("command", ["census", "verify-lemmas"])
+@pytest.mark.parametrize("n", ["-2", "5", "1000000"])
+def test_census_sizes_exit_64_before_any_output(capsys, command, n):
+    # n is checked before any arithmetic, and the budget without building
+    # the whole (n/2)!^(d+1)
+    start = time.perf_counter()
+    assert run([command, "--d", "3", "--n", n]) == 64
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv,colours",
     [

@@ -75,8 +75,8 @@ def test_parse_rejects_repeated_partner():
 
 
 def test_dot_export_structure():
-    dot = to_dot(torus_graph(), name="T")
-    assert dot.startswith("graph T {")
+    dot = to_dot(torus_graph())
+    assert dot.startswith("graph G {")
     assert dot.rstrip().endswith("}")
     assert "w1 -- b1 [color=red, label=1];" in dot
     assert dot.count(" -- ") == 9

@@ -14,13 +14,11 @@ from gemkit import (
     LengthMismatch,
     NotABijection,
     NotAComponent,
-    NotBipartite,
     RangeError,
     colour_deleted_components,
     complex_vertex_count,
     count_cycles,
     f_vector,
-    from_coloured_edges,
     genus_of_residue,
     has_property_P,
     is_connected,
@@ -31,7 +29,6 @@ from gemkit import (
 )
 from gemkit.graph import _check_colours
 from conftest import (
-    circle_graph,
     dipole_graph,
     double_dipole_graph,
     split_pair_graph,
@@ -98,8 +95,6 @@ def test_vertex_accessors_on_torus():
     assert G.n == 6 and G.half == 3
     assert G.partner(2, 1) == 5
     assert G.inverse(2) == (3, 1, 2)  # black 4 came from white 3 by colour 2
-    assert list(G.edges())[:3] == [(1, 4, 1), (2, 5, 1), (3, 6, 1)]
-    assert len(list(G.edges())) == 9
 
 
 def test_pair_permutation_cycles():
@@ -330,29 +325,3 @@ def test_is_connected():
 
 def test_complex_vertex_count_torus():
     assert complex_vertex_count(torus_graph()) == 3
-
-
-# ------------------------------------------------------------ edge lists
-
-
-@settings(max_examples=60, deadline=None)
-@given(colourful_graphs())
-def test_edge_list_round_trip(G):
-    edges = list(G.edges())
-    assert from_coloured_edges(G.d, G.n, edges) == G
-
-
-def test_from_coloured_edges_relabels_any_bipartition():
-    # same circle with whites listed as {2, 3} instead of {1, 2}
-    edges = [(2, 1, 1), (3, 4, 1), (2, 4, 2), (3, 1, 2)]
-    G = from_coloured_edges(1, 4, edges)
-    assert G == circle_graph()
-
-
-def test_from_coloured_edges_rejects_odd_cycles():
-    edges = []
-    pairs = {1: [(1, 2), (3, 4)], 2: [(1, 3), (2, 4)], 3: [(1, 4), (2, 3)]}
-    for c, ps in pairs.items():
-        edges.extend((a, b, c) for a, b in ps)
-    with pytest.raises(NotBipartite):
-        from_coloured_edges(2, 4, edges)

@@ -49,3 +49,20 @@ def test_only_graph_knows_the_colour_bitmask():
         if mention.search(line)
     ]
     assert found == []
+
+
+def test_every_error_type_is_raised_somewhere():
+    # an error type outlives its last raise only by mistake: delete the
+    # raise, and the type and its export must go with it
+    package = Path(gemkit.__file__).resolve().parent
+    errors = package / "errors.py"
+    defined = [
+        node.name
+        for node in ast.parse(errors.read_text(), filename=str(errors)).body
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(base, ast.Name) and base.id == "GemkitError" for base in node.bases)
+    ]
+    assert "FormatError" in defined
+    source = "\n".join(path.read_text() for path in sorted(package.rglob("*.py")))
+    never_raised = [name for name in defined if f"raise {name}(" not in source]
+    assert never_raised == []
