@@ -18,9 +18,11 @@ the white vertices by a permutation p sends (m_1, ..., m_{d+1}) to
 (m_1 o p^-1, ..., m_{d+1} o p^-1), an isomorphic graph, so every class,
 component count and bound slack is constant on an orbit.  The action is
 free and exactly one member of each orbit has the identity as its first
-matching, so the walk fixes m_1 to the identity and counts each visited
-tuple (n/2)! times.  This is the first step of isomorph-free generation
-(McKay, "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).
+matching, so the walk fixes m_1 to the identity, the lexicographically
+first, and meets orbits in the order of a walk over every tuple, counting
+each visited tuple (n/2)! times.  This is the first step of isomorph-free
+generation (McKay, "Isomorph-free exhaustive generation", J. Algorithms
+26, 1998).
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from __future__ import annotations
 import itertools
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .constructions import SeedLike, _rng, build_manifold, random_construction_params
 from .dipoles import melonic_reduce
@@ -39,7 +41,6 @@ from .graph import (
     ColourfulGraph,
     complex_vertex_count,
     count_cycles,
-    genus_of_residue,
     has_property_P,
     is_connected,
     residues,
@@ -55,8 +56,17 @@ DEFAULT_BUDGET = 10**8
 EXTENSION_MAX_N = 14
 
 
+def _check_census_size(d: int, n: int) -> None:
+    """Raise unless n is even and >= 2 and d >= 1."""
+    if n % 2 or n < 2:
+        raise BadParams(f"n must be even and >= 2, got {n}")
+    if d < 1:
+        raise RangeError(f"dimension d must be >= 1, got {d}")
+
+
 def tuple_count(d: int, n: int) -> int:
     """Matching tuples over the canonical white set: (n/2)!^(d+1)."""
+    _check_census_size(d, n)
     return math.factorial(n // 2) ** (d + 1)
 
 
@@ -119,10 +129,7 @@ def _census_perms(d: int, n: int, budget: int) -> List[Tuple[int, ...]]:
     and stops once a partial product's (d+1)-th power passes the budget;
     from 2 on, a power of more than budget.bit_length() factors does.
     """
-    if n % 2 or n < 2:
-        raise BadParams(f"n must be even and >= 2, got {n}")
-    if d < 1:
-        raise RangeError(f"dimension d must be >= 1, got {d}")
+    _check_census_size(d, n)
     partial = 1
     for k in range(1, n // 2 + 1):
         partial *= k
@@ -131,6 +138,16 @@ def _census_perms(d: int, n: int, budget: int) -> List[Tuple[int, ...]]:
                 f"(n/2)!^(d+1) for n={n}, d={d} exceeds budget {budget}; raise the budget"
             )
     return sorted(itertools.permutations(range(n // 2 + 1, n + 1)))
+
+
+def _orbit_walk(d: int, n: int, budget: int) -> Iterator[Tuple[int, ColourfulGraph]]:
+    """(weight, G) per tuple whose first matching is the identity; checked at the call."""
+    perms = _census_perms(d, n, budget)
+    weight = len(perms)
+    return (
+        (weight, ColourfulGraph(d, (perms[0],) + rest))
+        for rest in itertools.product(perms, repeat=d)
+    )
 
 
 def enumerate_census(
@@ -142,19 +159,15 @@ def enumerate_census(
 ) -> CensusReport:
     """Classify all (n/2)!^(d+1) matching tuples over the canonical white set.
 
-    Only the tuples whose first matching is the identity are classified;
-    each stands for its white-relabelling orbit of (n/2)! tuples (see the
-    module docstring) and adds (n/2)! to every count.  emit, when given,
-    is still called once per matching tuple: with each visited tuple's
-    (n/2)! relabellings and the visited tuple's classes.
+    Each tuple of the orbit walk is classified and adds its orbit's (n/2)!
+    to every count.  emit, when given, is still called once per matching
+    tuple: with each visited tuple's (n/2)! relabellings and its classes.
     """
-    perms = _census_perms(d, n, budget)
-    weight = len(perms)
+    walk = _orbit_walk(d, n, budget)
     relabellings = list(itertools.permutations(range(n // 2))) if emit is not None else ()
     counts: Dict[str, int] = {cls: 0 for cls in CLASSES}
     by_components: Dict[str, Dict[int, int]] = {cls: {} for cls in CLASSES}
-    for rest in itertools.product(perms, repeat=d):
-        G = ColourfulGraph(d, (perms[0],) + rest)
+    for weight, G in walk:
         names = classifier(G)
         comps = len(residues(G, G.colours).components)
         for cls in names:
@@ -169,8 +182,8 @@ def enumerate_census(
 
 def all_perfect_matchings(n: int) -> List[Tuple[int, ...]]:
     """Perfect matchings of [1..n] as involution tuples (partner of v at v-1)."""
-    if n % 2:
-        raise BadParams(f"n must be even, got {n}")
+    if n % 2 or n < 0:
+        raise BadParams(f"n must be even and >= 0, got {n}")
     out: List[Tuple[int, ...]] = []
     partner = [0] * (n + 1)
 
@@ -236,6 +249,7 @@ def enumerate_labelled(d: int, n: int) -> LabelledCensus:
     blacks n/2+1..n, each in ascending label order.  Counts are raw
     tallies of labelled tuples.
     """
+    _check_census_size(d, n)
     # (n-1)!! matchings, counted before any is built
     total = math.prod(range(n - 1, 0, -2)) ** (d + 1)
     if total > DEFAULT_BUDGET:
@@ -296,17 +310,12 @@ def verify_lemma_bounds(
     route and must hold exactly on the same (G, I); mismatches in either
     direction are counted.  check_5 runs the 5-subset bound when d >= 4.
 
-    Like enumerate_census, only tuples whose first matching is the identity
-    are visited, and each adds (n/2)! to graphs, checked, violations and
-    identity_mismatches.  Slacks are constant on an orbit and the identity
-    is the first matching in lexicographic order, so min_slack and the
-    extremal (G, I) are those the walk over every tuple would find first.
+    Each tuple of the orbit walk adds its orbit's (n/2)! to graphs, checked,
+    violations and identity_mismatches; min_slack and the extremal (G, I)
+    are those a walk over every tuple finds first.
     """
-    perms = _census_perms(d, n, budget)
-    weight = len(perms)
     report = LemmaBoundsReport(d, n, 0, 0, 0, None, None, 0)
-    for rest in itertools.product(perms, repeat=d):
-        G = ColourfulGraph(d, (perms[0],) + rest)
+    for weight, G in _orbit_walk(d, n, budget):
         report.graphs += weight
         for I in itertools.combinations(range(1, d + 2), 3):
             w = lemma1_witness(G, I)

@@ -16,7 +16,7 @@ import itertools
 import os
 import signal
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from . import census as census_mod
 from .constructions import (

@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .errors import BadParams, InvariantViolated, NotAConstructionGraph, OddN
+from .errors import BadParams, InvariantViolated, NotAConstructionGraph
 from .graph import ColourfulGraph
 
 SeedLike = Union[int, random.Random]
@@ -213,7 +213,7 @@ def build_planar_family(G3: ColourfulGraph, target_d: int) -> ColourfulGraph:
 def random_graph(d: int, n: int, seed: SeedLike = 0) -> ColourfulGraph:
     """Uniform (d+1)-tuple of bijections onto the black side; seeded."""
     if n % 2 or n < 2:
-        raise OddN(f"n must be even and >= 2, got {n}")
+        raise BadParams(f"n must be even and >= 2, got {n}")
     if d < 1:
         raise BadParams(f"d must be >= 1, got {d}")
     rng = _rng(seed)

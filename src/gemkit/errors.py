@@ -49,10 +49,6 @@ class NotAConstructionGraph(GemkitError):
     """The graph does not have the double-path structure the extension needs."""
 
 
-class OddN(GemkitError):
-    """Colourful graphs need an even number of vertices."""
-
-
 class BudgetExceeded(GemkitError):
     """Enumeration size exceeds the configured budget."""
 

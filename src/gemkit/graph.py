@@ -99,25 +99,9 @@ class ColourfulGraph:
         """Black vertex joined to white w by the edge of the given colour."""
         return self.matchings[colour - 1][w - 1]
 
-    def inverse(self, colour: int) -> Tuple[int, ...]:
-        """inverse(colour)[b - half - 1] is the white end of b's colour edge."""
-        inv = [0] * self.half
-        for w, b in enumerate(self.matchings[colour - 1], start=1):
-            inv[b - self.half - 1] = w
-        return tuple(inv)
-
-    def pair_permutation(self, i: int, j: int) -> Tuple[int, ...]:
-        """White-to-white permutation: follow colour i, come back along colour j.
-
-        Its cycles are exactly the bicoloured {i,j}-cycles of the graph.
-        """
-        inv_j = self.inverse(j)
-        mi = self.matchings[i - 1]
-        return tuple(inv_j[mi[w - 1] - self.half - 1] for w in range(1, self.half + 1))
-
     def cycles_of_pair(self, i: int, j: int) -> int:
-        """Number of bicoloured cycles using colours i and j."""
-        return count_cycles(self.pair_permutation(i, j))
+        """Number of bicoloured {i,j}-cycles, read from the residue engine (residues)."""
+        return len(residues(self, (i, j)))
 
     def __eq__(self, other) -> bool:
         return (

@@ -40,7 +40,8 @@ def remove_dipole(G, move):
         raise InvalidMove(f"{(w, b)} is not a dipole with free colour {free}")
 
     b_prime = G.partner(w, free)
-    w_prime = G.inverse(free)[b - half - 1]
+    # the white end of b's free-colour edge
+    w_prime = next(w0 for w0 in range(1, half + 1) if G.partner(w0, free) == b)
     beta = b - half
 
     def new_black(b0):

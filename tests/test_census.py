@@ -39,10 +39,18 @@ from conftest import (
 )
 
 
+# (d, n, the error the census size check raises)
+BAD_CENSUS_SIZES = ((3, -2, BadParams), (3, 0, BadParams), (3, 5, BadParams), (0, 4, RangeError))
+
+
 def test_tuple_count():
     assert tuple_count(3, 4) == 16
     assert tuple_count(3, 6) == 1296
     assert tuple_count(2, 6) == 216
+    # the census's own size check, before any arithmetic
+    for d, n, error in BAD_CENSUS_SIZES:
+        with pytest.raises(error):
+            tuple_count(d, n)
 
 
 def test_classify_known_graphs():
@@ -192,6 +200,10 @@ def test_census_budget():
     # refused before any of the 29!! matchings of [1..30] is built
     with pytest.raises(BudgetExceeded):
         enumerate_labelled(3, 30)
+    for d, n, error in BAD_CENSUS_SIZES:
+        message = f"dimension d must be >= 1, got {d}" if d < 1 else f"n must be even and >= 2, got {n}"
+        with pytest.raises(error, match=rf"^{message}$"):
+            enumerate_labelled(d, n)
 
 
 def test_budget_counts_every_tuple_even_in_a_shard():
@@ -228,6 +240,10 @@ def test_all_perfect_matchings_counts():
     assert len(all_perfect_matchings(4)) == 3
     assert len(all_perfect_matchings(6)) == 15
     assert len(all_perfect_matchings(8)) == 105
+    assert all_perfect_matchings(0) == [()]
+    for n in (-2, -1, 3):
+        with pytest.raises(BadParams):
+            all_perfect_matchings(n)
     for m in all_perfect_matchings(4):
         assert all(m[m[v - 1] - 1] == v and m[v - 1] != v for v in range(1, 5))
 

@@ -10,7 +10,6 @@ from gemkit import (
     ColourfulGraph,
     ConstructionParams,
     NotAConstructionGraph,
-    OddN,
     Status,
     build_G0,
     build_manifold,
@@ -169,8 +168,9 @@ def test_random_graph_is_seeded():
 
 
 def test_random_graph_input_checks():
-    with pytest.raises(OddN):
-        random_graph(3, 7)
+    for n in (7, 0, -2):
+        with pytest.raises(BadParams, match=rf"^n must be even and >= 2, got {n}$"):
+            random_graph(3, n)
     with pytest.raises(BadParams):
         random_graph(0, 4)
 

@@ -94,7 +94,6 @@ def test_vertex_accessors_on_torus():
     G = torus_graph()
     assert G.n == 6 and G.half == 3
     assert G.partner(2, 1) == 5
-    assert G.inverse(2) == (3, 1, 2)  # black 4 came from white 3 by colour 2
 
 
 def test_pair_permutation_cycles():
@@ -102,6 +101,10 @@ def test_pair_permutation_cycles():
     # each pair of matchings differs by a 3-cycle, so one bicoloured cycle
     for i, j in itertools.combinations((1, 2, 3), 2):
         assert G.cycles_of_pair(i, j) == 1
+    # colours outside [1..3] are refused, not wrapped round to the last colour
+    for i in (0, 4):
+        with pytest.raises(InvalidColourSet):
+            G.cycles_of_pair(i, 1)
     assert count_cycles((2, 1, 3)) == 2
     assert count_cycles((1, 2, 3, 4)) == 4
 
@@ -161,7 +164,7 @@ def test_residue_engine_matches_bfs_oracle(G):
         for idx, comp in enumerate(part.components):
             assert all(part.component_of[v] == idx for v in comp)
         if len(I) == 2:
-            assert len(residues(G, set(I))) == G.cycles_of_pair(*I)
+            assert G.cycles_of_pair(*I) == len(residue_components(G, I))
         assert residues(G, I) is part
         assert residues(G, list(I[::-1] + I)) is part
         with pytest.raises(TypeError):

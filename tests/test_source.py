@@ -66,3 +66,26 @@ def test_every_error_type_is_raised_somewhere():
     source = "\n".join(path.read_text() for path in sorted(package.rglob("*.py")))
     never_raised = [name for name in defined if f"raise {name}(" not in source]
     assert never_raised == []
+
+
+def test_library_modules_use_every_name_they_import():
+    # __init__.py imports to re-export; every other module imports a name
+    # only to use it, so an import left behind by a deleted caller fails here
+    package = Path(gemkit.__file__).resolve().parent
+    unused = []
+    for path in sorted(package.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]: node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used
+        ]
+    assert unused == []
