@@ -379,13 +379,17 @@ def verify_extension_bound(m1: Sequence[int], m2: Sequence[int]) -> ExtensionBou
 
     m3 is built by a depth-first search, one edge at a time: each step
     pairs the lowest free vertex with each higher free vertex in turn.
-    Three union-finds with undo follow the search: the components of
-    m1 u m2 u m3 with the side of each vertex in a 2-colouring, and the
-    components of m1 u m3 and of m2 u m3.  An edge joining two vertices of
-    one component on the same side closes an odd cycle, so no completion
-    below it is bipartite and the whole subtree is skipped.  Skipped
-    completions still count in extensions_tried, which is (n-1)!!, the
-    number of perfect matchings of [1..n]; n is capped at EXTENSION_MAX_N.
+    While m3 is partial, m1 u m3 and m2 u m3 are disjoint paths and
+    cycles, and every vertex without an m3 edge ends a path: end1 and end2
+    hold the far end of its path.  An m3 edge {v, u} closes a cycle of
+    m1 u m3 when end1[v] == u; otherwise it joins two paths, and their far
+    ends become each other's (likewise for m2).  One union-find with undo
+    follows the components of m1 u m2 u m3 with the side of each vertex in
+    a 2-colouring.  An edge joining two vertices of one component on the
+    same side closes an odd cycle, so no completion below it is bipartite
+    and the whole subtree is skipped.  Skipped completions still count in
+    extensions_tried, which is (n-1)!!, the number of perfect matchings of
+    [1..n]; n is capped at EXTENSION_MAX_N.
     """
     n = len(m1)
     if n > EXTENSION_MAX_N:
@@ -406,40 +410,36 @@ def verify_extension_bound(m1: Sequence[int], m2: Sequence[int]) -> ExtensionBou
             cycle[v], cycle[u], side[u] = c, c, 1
             v = m2[u - 1]
         c += 1
-    # union-finds by size, without path compression, so a union is undone
-    # by detaching the root it attached: base components keyed by cycle
-    # number, each with its side relative to its parent; m1 u m3 and
-    # m2 u m3 keyed by the smaller end of each m1 (m2) edge
+    # a union-find by size over the base components, without path
+    # compression, so a union is undone by detaching the root it attached;
+    # each cycle keeps its side relative to its parent
     up_b, size_b, flip = list(range(c)), [1] * c, [0] * c
-    key1 = [0] + [min(v, u) for v, u in enumerate(m1, start=1)]
-    key2 = [0] + [min(v, u) for v, u in enumerate(m2, start=1)]
-    up1, size1 = list(range(n + 1)), [1] * (n + 1)
-    up2, size2 = list(range(n + 1)), [1] * (n + 1)
+    # before any m3 edge, each m1 (m2) edge is a path of its own
+    end1, end2 = [0, *m1], [0, *m2]
     buckets: Dict[int, int] = {}
-    # planar iff c + (n/2 - merged1) + (n/2 - merged2) == 2(c - merged_b) + n/2
+    # planar iff c + closed == 2k + n/2
     target = n // 2 - c
 
-    def extend(free: List[int], merged_b: int, merged1: int, merged2: int) -> None:
+    def extend(free: int, k: int, closed: int) -> None:
+        # free holds bit v for each vertex v without an m3 edge
         if not free:
-            if merged1 + merged2 - 2 * merged_b == target:
-                k = c - merged_b
+            if closed == 2 * k + target:
                 buckets[k] = buckets.get(k, 0) + 1
             return
-        v = free[0]
-        # v's roots hold for every sibling: each child's unions are undone
-        # before the next child is tried
+        low = free & -free
+        v = low.bit_length() - 1
+        # v's root and path ends hold for every sibling: each child's
+        # changes are undone before the next child is tried
         rv, sv = cycle[v], side[v]
         while up_b[rv] != rv:
             sv ^= flip[rv]
             rv = up_b[rv]
-        r1v = key1[v]
-        while up1[r1v] != r1v:
-            r1v = up1[r1v]
-        r2v = key2[v]
-        while up2[r2v] != r2v:
-            r2v = up2[r2v]
-        for i in range(1, len(free)):
-            u = free[i]
+        a1, a2 = end1[v], end2[v]
+        rest = higher = free ^ low
+        while higher:
+            bit = higher & -higher
+            higher ^= bit
+            u = bit.bit_length() - 1
             ru, su = cycle[u], side[u]
             while up_b[ru] != ru:
                 su ^= flip[ru]
@@ -453,39 +453,19 @@ def verify_extension_bound(m1: Sequence[int], m2: Sequence[int]) -> ExtensionBou
                 up_b[child_b] = root_b
                 size_b[root_b] += size_b[child_b]
                 flip[child_b] = su ^ sv ^ 1
-            r1u = key1[u]
-            while up1[r1u] != r1u:
-                r1u = up1[r1u]
-            child1 = -1
-            if r1u != r1v:
-                child1, root1 = (r1u, r1v) if size1[r1u] <= size1[r1v] else (r1v, r1u)
-                up1[child1] = root1
-                size1[root1] += size1[child1]
-            r2u = key2[u]
-            while up2[r2u] != r2u:
-                r2u = up2[r2u]
-            child2 = -1
-            if r2u != r2v:
-                child2, root2 = (r2u, r2v) if size2[r2u] <= size2[r2v] else (r2v, r2u)
-                up2[child2] = root2
-                size2[root2] += size2[child2]
-            extend(
-                free[1:i] + free[i + 1:],
-                merged_b + (child_b >= 0),
-                merged1 + (child1 >= 0),
-                merged2 + (child2 >= 0),
-            )
-            if child2 >= 0:
-                size2[up2[child2]] -= size2[child2]
-                up2[child2] = child2
-            if child1 >= 0:
-                size1[up1[child1]] -= size1[child1]
-                up1[child1] = child1
+            # join the two paths; when the edge closes a cycle instead
+            # (a1 == u, b1 == v) the writes leave v and u as they were
+            b1, b2 = end1[u], end2[u]
+            end1[a1], end1[b1] = b1, a1
+            end2[a2], end2[b2] = b2, a2
+            extend(rest ^ bit, k - (child_b >= 0), closed + (a1 == u) + (a2 == u))
+            end1[a1], end1[b1] = v, u
+            end2[a2], end2[b2] = v, u
             if child_b >= 0:
                 size_b[up_b[child_b]] -= size_b[child_b]
                 up_b[child_b] = child_b
 
-    extend(list(range(1, n + 1)), 0, 0, 0)
+    extend((1 << (n + 1)) - 2, c, 0)  # bits 1..n
     planar = sum(buckets.values())
     bounds = {k: 2 ** (5 * n) * n ** (c - k) for k in buckets}
     violations = [k for k, cnt in buckets.items() if cnt > bounds[k]]

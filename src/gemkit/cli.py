@@ -1,12 +1,12 @@
 """Command-line interface.
 
 Exit codes: verdict commands map Yes to 0, No to 1, Unknown to 2; usage,
-parameter, and budget problems exit 64; unreadable or unparseable input
-exits 65.  When the reader closes stdout early (`gemkit kappa F | head -n 1`)
-the process ends quietly by SIGPIPE, like other Unix filters.  All
-randomness flows through --seed (default 0).  Graph files use the CGF
-format; `-` reads the graph from stdin, so generator commands pipe straight
-into analysis commands.
+parameter and budget problems and unwritable output paths exit 64;
+unreadable or unparseable input exits 65.  When the reader closes stdout
+early (`gemkit kappa F | head -n 1`) the process ends quietly by SIGPIPE,
+like other Unix filters.  All randomness flows through --seed (default 0).
+Graph files use the CGF format; `-` reads the graph from stdin, so
+generator commands pipe straight into analysis commands.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import itertools
 import os
 import signal
 import sys
-from typing import Optional, Sequence, Tuple
+from typing import NoReturn, Optional, Sequence, Tuple
 
 from . import census as census_mod
 from .constructions import (
@@ -284,18 +284,30 @@ def _run_random(args) -> int:
     return 0
 
 
+def _cannot_write(path: str, e: OSError) -> NoReturn:
+    print(f"cannot write {path}: {e}", file=sys.stderr)
+    raise SystemExit(EX_USAGE)
+
+
 def _run_census(args) -> int:
     emit = None
     if args.emit_graphs:
-        os.makedirs(args.emit_graphs, exist_ok=True)
+        try:
+            os.makedirs(args.emit_graphs, exist_ok=True)
+        except OSError as e:
+            _cannot_write(args.emit_graphs, e)
         counter = [0]
 
         def emit(G, names):
             counter[0] += 1
             tag = "_".join(sorted(names - {"all"})) or "plain"
             path = os.path.join(args.emit_graphs, f"{counter[0]:06d}_{tag}.cgf")
-            with open(path, "w") as fh:
-                fh.write(write_cgf(G, comment=f"census d={args.d} n={args.n} classes={tag}"))
+            text = write_cgf(G, comment=f"census d={args.d} n={args.n} classes={tag}")
+            try:
+                with open(path, "w") as fh:
+                    fh.write(text)
+            except OSError as e:
+                _cannot_write(path, e)
 
     report = census_mod.enumerate_census(args.d, args.n, budget=args.budget, emit=emit)
     print(f"tuples: {census_mod.tuple_count(args.d, args.n)}")
@@ -306,6 +318,9 @@ def _run_census(args) -> int:
 
 
 def _run_verify_lemmas(args) -> int:
+    if args.check_5 and args.d < 4:
+        print(f"--check-5 needs d >= 4 (five colours), got d={args.d}", file=sys.stderr)
+        return EX_USAGE
     rep = census_mod.verify_lemma_bounds(
         args.d, args.n, budget=args.budget, check_5=args.check_5
     )

@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .errors import BadParams, InvariantViolated, NotAConstructionGraph
+from .errors import BadParams, InvariantViolated, NotAConstructionGraph, RangeError
 from .graph import ColourfulGraph
 
 SeedLike = Union[int, random.Random]
@@ -215,7 +215,7 @@ def random_graph(d: int, n: int, seed: SeedLike = 0) -> ColourfulGraph:
     if n % 2 or n < 2:
         raise BadParams(f"n must be even and >= 2, got {n}")
     if d < 1:
-        raise BadParams(f"d must be >= 1, got {d}")
+        raise RangeError(f"dimension d must be >= 1, got {d}")
     rng = _rng(seed)
     half = n // 2
     matchings = []

@@ -1,9 +1,10 @@
 """The extension bound by testing every third matching: a reference for the tests.
 
-The library builds the third matching edge by edge and keeps its component
-counts in union-finds with undo.  This loop materialises all (n-1)!!
-perfect matchings of [1..n] and, for each, runs a 2-colouring search over
-the three matchings and two union-finds from scratch, so the tests can
+The library builds the third matching edge by edge, follows its 2-colouring
+in one union-find with undo and counts the cycles of m1 u m3 and m2 u m3 as
+they close, by the far ends of their paths.  This loop materialises all
+(n-1)!! perfect matchings of [1..n] and, for each, runs a 2-colouring search
+over the three matchings and two union-finds from scratch, so the tests can
 compare every report field of the two.
 """
 

@@ -367,6 +367,32 @@ def _extension_sample(rng):
     return pairs
 
 
+def _base_of_type(lengths, rng):
+    """A base pair whose alternating cycles have the given even lengths,
+    relabelled by a seeded permutation; all 2s give m1 = m2."""
+    n = sum(lengths)
+    m1, m2 = [0] * (n + 1), [0] * (n + 1)
+    start = 1
+    for length in lengths:
+        ring = list(range(start, start + length))
+        for i in range(0, length, 2):
+            a, b, c = ring[i], ring[i + 1], ring[(i + 2) % length]
+            m1[a], m1[b] = b, a
+            m2[b], m2[c] = c, b
+        start += length
+    p = [0, *rng.sample(range(1, n + 1), n)]
+    out = []
+    for m in (m1, m2):
+        conj = [0] * (n + 1)
+        for v in range(1, n + 1):
+            conj[p[v]] = p[m[v]]
+        out.append(tuple(conj[1:]))
+    return tuple(out)
+
+
+N10_TYPES = [(10,), (8, 2), (6, 4), (6, 2, 2), (4, 4, 2), (4, 2, 2, 2), (2, 2, 2, 2, 2)]
+
+
 def test_extension_search_matches_the_oracle():
     pairs = [
         pair
@@ -374,6 +400,12 @@ def test_extension_search_matches_the_oracle():
         for pair in itertools.product(all_perfect_matchings(n), repeat=2)
     ]
     pairs += _extension_sample(random.Random(8))
+    rng = random.Random(10)
+    for lengths in N10_TYPES:
+        m1, m2 = _base_of_type(lengths, rng)
+        assert _cycle_type(m1, m2) == lengths
+        pairs.append((m1, m2))
+    assert pairs[-1][0] == pairs[-1][1]
     for m1, m2 in pairs:
         report, expected = verify_extension_bound(m1, m2), extension_bound(m1, m2)
         assert report == expected, (m1, m2)

@@ -343,6 +343,36 @@ def test_census_emit_graphs(tmp_path, capsys):
     assert parse_cgf(files[0].read_text()).n == 2
 
 
+def test_census_emit_graphs_reports_an_unwritable_path(tmp_path, capsys):
+    # a file where the directory should go, then a directory where the
+    # first graph file should go
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    good = tmp_path / "good"
+    assert run(["census", "--d", "3", "--n", "2", "--emit-graphs", str(good)]) == 0
+    capsys.readouterr()
+    (first,) = good.iterdir()
+    blocked = tmp_path / "blocked"
+    (blocked / first.name).mkdir(parents=True)
+    for target, path in ((taken, taken), (blocked, blocked / first.name)):
+        with pytest.raises(SystemExit) as exc:
+            run(["census", "--d", "3", "--n", "2", "--emit-graphs", str(target)])
+        assert exc.value.code == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"cannot write {path}: ")
+        assert "Traceback" not in err
+
+
+def test_verify_lemmas_refuses_check_5_below_d_4(capsys):
+    assert run(["verify-lemmas", "--d", "3", "--n", "4", "--check-5"]) == 64
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "d >= 4" in err
+    assert run(["verify-lemmas", "--d", "4", "--n", "2", "--check-5"]) == 0
+    assert "triple bound: checked=" in capsys.readouterr().out
+
+
 def test_verify_lemmas(capsys):
     assert run(["verify-lemmas", "--d", "3", "--n", "4"]) == 0
     out = capsys.readouterr().out

@@ -10,6 +10,7 @@ from gemkit import (
     ColourfulGraph,
     ConstructionParams,
     NotAConstructionGraph,
+    RangeError,
     Status,
     build_G0,
     build_manifold,
@@ -171,7 +172,7 @@ def test_random_graph_input_checks():
     for n in (7, 0, -2):
         with pytest.raises(BadParams, match=rf"^n must be even and >= 2, got {n}$"):
             random_graph(3, n)
-    with pytest.raises(BadParams):
+    with pytest.raises(RangeError, match=r"^dimension d must be >= 1, got 0$"):
         random_graph(0, 4)
 
 
