@@ -34,11 +34,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
-from .constructions import SeedLike, _rng, build_manifold, random_construction_params
+from .constructions import SeedLike, _check_family, _rng, build_manifold, random_construction_params
 from .dipoles import melonic_reduce
 from .errors import BadParams, BudgetExceeded, InvariantViolated, RangeError
 from .graph import (
     ColourfulGraph,
+    _check_size,
+    _colour_triples,
     complex_vertex_count,
     count_cycles,
     has_property_P,
@@ -56,17 +58,9 @@ DEFAULT_BUDGET = 10**8
 EXTENSION_MAX_N = 14
 
 
-def _check_census_size(d: int, n: int) -> None:
-    """Raise unless n is even and >= 2 and d >= 1."""
-    if n % 2 or n < 2:
-        raise BadParams(f"n must be even and >= 2, got {n}")
-    if d < 1:
-        raise RangeError(f"dimension d must be >= 1, got {d}")
-
-
 def tuple_count(d: int, n: int) -> int:
     """Matching tuples over the canonical white set: (n/2)!^(d+1)."""
-    _check_census_size(d, n)
+    _check_size(d, n)
     return math.factorial(n // 2) ** (d + 1)
 
 
@@ -129,7 +123,7 @@ def _census_perms(d: int, n: int, budget: int) -> List[Tuple[int, ...]]:
     and stops once a partial product's (d+1)-th power passes the budget;
     from 2 on, a power of more than budget.bit_length() factors does.
     """
-    _check_census_size(d, n)
+    _check_size(d, n)
     partial = 1
     for k in range(1, n // 2 + 1):
         partial *= k
@@ -181,9 +175,13 @@ def enumerate_census(
 
 
 def all_perfect_matchings(n: int) -> List[Tuple[int, ...]]:
-    """Perfect matchings of [1..n] as involution tuples (partner of v at v-1)."""
+    """Perfect matchings of [1..n] as involution tuples (partner of v at v-1);
+    more than DEFAULT_BUDGET of them (n >= 20) raise BudgetExceeded before any is built."""
     if n % 2 or n < 0:
         raise BadParams(f"n must be even and >= 0, got {n}")
+    count = math.prod(range(n - 1, 0, -2))
+    if count > DEFAULT_BUDGET:
+        raise BudgetExceeded(f"(n-1)!! = {count} matchings exceed budget {DEFAULT_BUDGET}")
     out: List[Tuple[int, ...]] = []
     partner = [0] * (n + 1)
 
@@ -249,7 +247,7 @@ def enumerate_labelled(d: int, n: int) -> LabelledCensus:
     blacks n/2+1..n, each in ascending label order.  Counts are raw
     tallies of labelled tuples.
     """
-    _check_census_size(d, n)
+    _check_size(d, n)
     # (n-1)!! matchings, counted before any is built
     total = math.prod(range(n - 1, 0, -2)) ** (d + 1)
     if total > DEFAULT_BUDGET:
@@ -317,7 +315,7 @@ def verify_lemma_bounds(
     report = LemmaBoundsReport(d, n, 0, 0, 0, None, None, 0)
     for weight, G in _orbit_walk(d, n, budget):
         report.graphs += weight
-        for I in itertools.combinations(range(1, d + 2), 3):
+        for I in _colour_triples(G):
             w = lemma1_witness(G, I)
             if euler_poincare_check(G, I) != w.hypothesis_met:
                 report.identity_mismatches += weight
@@ -543,6 +541,8 @@ def vn_experiment(ks: Sequence[int], samples: int, seed: int = 0) -> StatsReport
     if samples < 1:
         raise RangeError(f"samples must be >= 1, got {samples}")
     d = 3
+    # the largest graph is refused before any is built
+    _check_family(d, max(ks, default=1))
     rng = _rng(seed)
     rows = []
     for k in ks:

@@ -12,7 +12,6 @@ generator commands pipe straight into analysis commands.
 from __future__ import annotations
 
 import argparse
-import itertools
 import os
 import signal
 import sys
@@ -31,6 +30,7 @@ from .errors import BudgetExceeded, FormatError, GemkitError
 from .formats import parse_cgf, to_dot, write_cgf
 from .graph import (
     ColourfulGraph,
+    _colour_triples,
     f_vector,
     genus_of_residue,
     is_connected,
@@ -44,13 +44,17 @@ EX_USAGE = 64
 EX_DATA = 65
 
 
+def _fail(code: int, message: str) -> NoReturn:
+    print(message, file=sys.stderr)
+    raise SystemExit(code)
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors, which collides with the Unknown
     # verdict; remap to 64
     def error(self, message):
         self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EX_USAGE)
+        _fail(EX_USAGE, f"{self.prog}: error: {message}")
 
 
 def _read_graph(path: str) -> ColourfulGraph:
@@ -61,77 +65,65 @@ def _read_graph(path: str) -> ColourfulGraph:
             with open(path) as f:
                 text = f.read()
     except (OSError, UnicodeDecodeError) as e:
-        print(f"cannot read {path}: {e}", file=sys.stderr)
-        raise SystemExit(EX_DATA)
+        _fail(EX_DATA, f"cannot read {path}: {e}")
     try:
         return parse_cgf(text)
     except FormatError as e:
-        print(f"{path}: {e}", file=sys.stderr)
-        raise SystemExit(EX_DATA)
+        _fail(EX_DATA, f"{path}: {e}")
+
+
+def _parse_ints(text: str, name: str) -> Tuple[int, ...]:
+    """Integers separated by commas or spaces; exit 64 on anything else."""
+    try:
+        return tuple(int(t) for t in text.replace(",", " ").split())
+    except ValueError:
+        _fail(EX_USAGE, f"bad {name} {text!r}")
 
 
 def _parse_colours(text: str, G: ColourfulGraph) -> Tuple[int, ...]:
-    try:
-        cols = tuple(int(t) for t in text.replace(",", " ").split())
-    except ValueError:
-        print(f"bad colour list {text!r}", file=sys.stderr)
-        raise SystemExit(EX_USAGE)
+    cols = _parse_ints(text, "colour list")
     if not cols or len(set(cols)) != len(cols) or any(
         c < 1 or c > G.d + 1 for c in cols
     ):
-        print(
-            f"colours must be distinct and within [1..{G.d + 1}]: {text!r}",
-            file=sys.stderr,
-        )
-        raise SystemExit(EX_USAGE)
+        _fail(EX_USAGE, f"colours must be distinct and within [1..{G.d + 1}]: {text!r}")
     return tuple(sorted(cols))
-
-
-def _parse_perm(text: str, k: int, name: str) -> Tuple[int, ...]:
-    try:
-        images = tuple(int(t) for t in text.replace(",", " ").split())
-    except ValueError:
-        print(f"bad {name} {text!r}", file=sys.stderr)
-        raise SystemExit(EX_USAGE)
-    if sorted(images) != list(range(1, k + 1)):
-        print(f"{name} must be a permutation of [1..{k}] in image notation", file=sys.stderr)
-        raise SystemExit(EX_USAGE)
-    return images
 
 
 def build_parser() -> _Parser:
     p = _Parser(prog="gemkit", description=__doc__)
+    p.handlers = {}  # subcommand -> handler, filled where each is declared
     sub = p.add_subparsers(dest="command", required=True)
 
-    def cmd(name: str, help_: str) -> argparse.ArgumentParser:
+    def cmd(name: str, help_: str, handler) -> argparse.ArgumentParser:
+        p.handlers[name] = handler
         return sub.add_parser(name, help=help_)
 
-    c = cmd("validate", "parse a CGF file, report d, n, connectivity")
+    c = cmd("validate", "parse a CGF file, report d, n, connectivity", _run_validate)
     c.add_argument("file")
 
-    c = cmd("residues", "components and kappa of one colour set")
+    c = cmd("residues", "components and kappa of one colour set", _run_residues)
     c.add_argument("file")
     c.add_argument("--colours", required=True, help="comma-separated, e.g. 1,2,3")
 
-    c = cmd("kappa", "component counts of every colour subset")
+    c = cmd("kappa", "component counts of every colour subset", _run_kappa)
     c.add_argument("file")
 
-    c = cmd("genus", "canonical-embedding genus of every 3-residue")
+    c = cmd("genus", "canonical-embedding genus of every 3-residue", _run_genus)
     c.add_argument("file")
 
     for name, label in (("check-manifold", "manifold"), ("check-sphere", "sphere")):
-        c = cmd(name, f"{label} verdict; exit 0 yes / 1 no / 2 unknown")
+        c = cmd(name, f"{label} verdict; exit 0 yes / 1 no / 2 unknown", _run_verdict)
         c.add_argument("file")
         c.add_argument("--certificate", action="store_true")
 
-    c = cmd("betti", "rational Betti numbers of the complex of G_I")
+    c = cmd("betti", "rational Betti numbers of the complex of G_I", _run_betti)
     c.add_argument("file")
     c.add_argument("--colours", help="defaults to all colours")
 
-    c = cmd("reduce", "greedy melonic reduction trace")
+    c = cmd("reduce", "greedy melonic reduction trace", _run_reduce)
     c.add_argument("file")
 
-    c = cmd("gen", "build a glued double-path graph, CGF to stdout")
+    c = cmd("gen", "build a glued double-path graph, CGF to stdout", _run_gen)
     c.add_argument("--d", type=int, required=True)
     c.add_argument("--k", type=int, required=True)
     c.add_argument("--sigma", help="image notation, e.g. 2,1,3")
@@ -141,33 +133,35 @@ def build_parser() -> _Parser:
     c.add_argument("--planar-extend", type=int, metavar="D2",
                    help="extend the d=3 result to this dimension by identity colours")
 
-    c = cmd("random", "uniform random colourful graph, CGF to stdout")
+    c = cmd("random", "uniform random colourful graph, CGF to stdout", _run_random)
     c.add_argument("--d", type=int, required=True)
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--seed", type=int, default=0)
 
-    c = cmd("census", "exhaustive classification of all canonical graphs")
+    c = cmd("census", "exhaustive classification of all canonical graphs", _run_census)
     c.add_argument("--d", type=int, required=True)
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--emit-graphs", metavar="DIR")
     c.add_argument("--budget", type=int, default=census_mod.DEFAULT_BUDGET)
 
-    c = cmd("verify-lemmas", "slack audit of the component-count bounds")
+    c = cmd("verify-lemmas", "slack audit of the component-count bounds", _run_verify_lemmas)
     c.add_argument("--d", type=int, required=True)
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--check-5", action="store_true", help="also audit 5-subsets (d >= 4)")
     c.add_argument("--budget", type=int, default=census_mod.DEFAULT_BUDGET)
 
-    c = cmd("bound-check", "planar-extension count bound for a 2-matching base")
+    c = cmd("bound-check", "planar-extension count bound for a 2-matching base",
+            _run_bound_check)
     c.add_argument("--cgf2", required=True, metavar="FILE",
                    help="CGF file with d=1 (two matchings)")
 
-    c = cmd("stats-vn", "vertex counts of random glued constructions, not uniform manifolds")
+    c = cmd("stats-vn", "vertex counts of random glued constructions, not uniform manifolds",
+            _run_stats_vn)
     c.add_argument("--kmax", type=int, required=True)
     c.add_argument("--samples", type=int, required=True)
     c.add_argument("--seed", type=int, default=0)
 
-    c = cmd("export-dot", "Graphviz DOT to stdout")
+    c = cmd("export-dot", "Graphviz DOT to stdout", _run_export_dot)
     c.add_argument("file")
     return p
 
@@ -204,7 +198,7 @@ def _run_kappa(args) -> int:
 
 def _run_genus(args) -> int:
     G = _read_graph(args.file)
-    for I in itertools.combinations(range(1, G.d + 2), 3):
+    for I in _colour_triples(G):
         part = residues(G, I)
         for comp in part.components:
             emb = genus_of_residue(G, I, comp)
@@ -215,9 +209,9 @@ def _run_genus(args) -> int:
     return 0
 
 
-def _run_verdict(args, which: str) -> int:
+def _run_verdict(args) -> int:
     G = _read_graph(args.file)
-    if which == "manifold":
+    if args.command == "check-manifold":
         v = is_manifold(G)
         note = "d<=3 exact" if G.d <= 3 else "criterion-based"
         print(f"manifold: {v.status.value.lower()} ({note})")
@@ -259,20 +253,19 @@ def _run_gen(args) -> int:
     if args.random_perms:
         params = random_construction_params(args.d, args.k, args.seed)
     elif args.sigma is not None and args.tau is not None:
-        sigma = _parse_perm(args.sigma, args.k, "sigma")
-        tau = _parse_perm(args.tau, args.k, "tau")
+        sigma = _parse_ints(args.sigma, "sigma")
+        tau = _parse_ints(args.tau, "tau")
         params = ConstructionParams(args.d, args.k, sigma, tau)
     else:
         print("gen needs either --sigma and --tau or --random-perms", file=sys.stderr)
         return EX_USAGE
     G = build_manifold(params)
-    if args.planar_extend is not None:
-        G = build_planar_family(G, args.planar_extend)
     comment = (
         f"glued double path d={params.d} k={params.k} "
         f"sigma={','.join(map(str, params.sigma))} tau={','.join(map(str, params.tau))}"
     )
     if args.planar_extend is not None:
+        G = build_planar_family(G, args.planar_extend)
         comment += f" extended to d={args.planar_extend}"
     sys.stdout.write(write_cgf(G, comment=comment))
     return 0
@@ -284,18 +277,13 @@ def _run_random(args) -> int:
     return 0
 
 
-def _cannot_write(path: str, e: OSError) -> NoReturn:
-    print(f"cannot write {path}: {e}", file=sys.stderr)
-    raise SystemExit(EX_USAGE)
-
-
 def _run_census(args) -> int:
     emit = None
     if args.emit_graphs:
         try:
             os.makedirs(args.emit_graphs, exist_ok=True)
         except OSError as e:
-            _cannot_write(args.emit_graphs, e)
+            _fail(EX_USAGE, f"cannot write {args.emit_graphs}: {e}")
         counter = [0]
 
         def emit(G, names):
@@ -307,7 +295,7 @@ def _run_census(args) -> int:
                 with open(path, "w") as fh:
                     fh.write(text)
             except OSError as e:
-                _cannot_write(path, e)
+                _fail(EX_USAGE, f"cannot write {path}: {e}")
 
     report = census_mod.enumerate_census(args.d, args.n, budget=args.budget, emit=emit)
     print(f"tuples: {census_mod.tuple_count(args.d, args.n)}")
@@ -359,8 +347,8 @@ def _run_bound_check(args) -> int:
 
 
 def _run_stats_vn(args) -> int:
-    ks = tuple(range(1, args.kmax + 1))
-    report = census_mod.vn_experiment(ks, args.samples, seed=args.seed)
+    # a range, not a tuple: a huge --kmax is refused without being listed
+    report = census_mod.vn_experiment(range(1, args.kmax + 1), args.samples, seed=args.seed)
     for row in report.table_rows():
         print(row)
     return 0
@@ -372,30 +360,11 @@ def _run_export_dot(args) -> int:
     return 0
 
 
-_HANDLERS = {
-    "validate": _run_validate,
-    "residues": _run_residues,
-    "kappa": _run_kappa,
-    "genus": _run_genus,
-    "check-manifold": lambda a: _run_verdict(a, "manifold"),
-    "check-sphere": lambda a: _run_verdict(a, "sphere"),
-    "betti": _run_betti,
-    "reduce": _run_reduce,
-    "gen": _run_gen,
-    "random": _run_random,
-    "census": _run_census,
-    "verify-lemmas": _run_verify_lemmas,
-    "bound-check": _run_bound_check,
-    "stats-vn": _run_stats_vn,
-    "export-dot": _run_export_dot,
-}
-
-
 def run(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return parser.handlers[args.command](args)
     except BudgetExceeded as e:
         print(f"budget: {e}", file=sys.stderr)
         return EX_USAGE

@@ -28,14 +28,24 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .errors import BadParams, InvariantViolated, NotAConstructionGraph, RangeError
-from .graph import ColourfulGraph
+from .errors import BadParams, InvariantViolated, NotAConstructionGraph
+from .graph import ColourfulGraph, _check_size
 
 SeedLike = Union[int, random.Random]
 
 
 def _rng(seed: SeedLike) -> random.Random:
     return seed if isinstance(seed, random.Random) else random.Random(seed)
+
+
+def _check_family(d: int, k: int) -> int:
+    """n = 4kd for shape (d, k); raises unless d >= 3, k >= 1 and that graph fits the size cap."""
+    if d < 3:
+        raise BadParams(f"d must be >= 3, got {d}")
+    if k < 1:
+        raise BadParams(f"k must be >= 1, got {k}")
+    _check_size(d, 4 * k * d)
+    return 4 * k * d
 
 
 def _check_permutation(p: Sequence[int], k: int, name: str) -> Tuple[int, ...]:
@@ -61,10 +71,7 @@ class ConstructionParams:
     tau: Tuple[int, ...]
 
     def __post_init__(self):
-        if self.d < 3:
-            raise BadParams(f"d must be >= 3, got {self.d}")
-        if self.k < 1:
-            raise BadParams(f"k must be >= 1, got {self.k}")
+        _check_family(self.d, self.k)
         object.__setattr__(
             self, "sigma", _check_permutation(self.sigma, self.k, "sigma")
         )
@@ -151,11 +158,7 @@ def build_G0(d: int, k: int) -> PartialGraph:
     Positions i divisible by d have degree d (their colour-(d+1) slot is
     open); all other positions have full degree d+1.
     """
-    if d < 3:
-        raise BadParams(f"d must be >= 3, got {d}")
-    if k < 1:
-        raise BadParams(f"k must be >= 1, got {k}")
-    return PartialGraph(d, k, 4 * k * d, tuple(_base_edges(d, k)))
+    return PartialGraph(d, k, _check_family(d, k), tuple(_base_edges(d, k)))
 
 
 def build_manifold(params: ConstructionParams) -> ColourfulGraph:
@@ -196,6 +199,7 @@ def build_planar_family(G3: ColourfulGraph, target_d: int) -> ColourfulGraph:
         raise NotAConstructionGraph("input must be a 4-colourful glued graph")
     if target_d < 4:
         raise BadParams(f"target_d must be >= 4, got {target_d}")
+    _check_size(target_d, G3.n)
     if G3.n % 12:
         raise NotAConstructionGraph(f"glued graphs have n = 12k vertices, got {G3.n}")
     half = G3.half
@@ -212,10 +216,7 @@ def build_planar_family(G3: ColourfulGraph, target_d: int) -> ColourfulGraph:
 
 def random_graph(d: int, n: int, seed: SeedLike = 0) -> ColourfulGraph:
     """Uniform (d+1)-tuple of bijections onto the black side; seeded."""
-    if n % 2 or n < 2:
-        raise BadParams(f"n must be even and >= 2, got {n}")
-    if d < 1:
-        raise RangeError(f"dimension d must be >= 1, got {d}")
+    _check_size(d, n)
     rng = _rng(seed)
     half = n // 2
     matchings = []
@@ -228,6 +229,7 @@ def random_graph(d: int, n: int, seed: SeedLike = 0) -> ColourfulGraph:
 
 def random_construction_params(d: int, k: int, seed: SeedLike = 0) -> ConstructionParams:
     """Uniform valid (sigma, tau): parity-preserving pairs when d is odd."""
+    _check_family(d, k)
     rng = _rng(seed)
 
     def perm() -> Tuple[int, ...]:
@@ -247,7 +249,5 @@ def random_construction_params(d: int, k: int, seed: SeedLike = 0) -> Constructi
 
 def family_size_lower_bound(d: int, k: int) -> int:
     """Labelled glued graphs of shape (d, k): at least (k!)^2 n!/4, n = 4kd."""
-    if d < 3 or k < 1:
-        raise BadParams(f"need d >= 3 and k >= 1, got d={d}, k={k}")
-    n = 4 * k * d
+    n = _check_family(d, k)
     return math.factorial(k) ** 2 * math.factorial(n) // 4

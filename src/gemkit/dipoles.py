@@ -7,7 +7,8 @@ unchanged up to homeomorphism when the graph stays nontrivial.  A graph
 reducible to the 2-vertex dipole by such moves is called melonic, and its
 space is a d-sphere.
 
-Every move goes through one in-place engine, ``_Cancellation``.  It keeps
+Every move goes through one in-place engine, ``_Cancellation(G)``, built
+from a graph's matchings, or from those of a colour subset alone.  It keeps
 each matching and its inverse as a mutable map in the graph's own vertex
 labels, so a cancellation costs O(d): it deletes the pair's 2(d+1) entries
 and splices the free-colour edge.  Only the white at the far end of the
@@ -16,11 +17,10 @@ and the greedy reduction re-checks it alone; a min-heap of candidate
 whites gives the lowest white with a dipole.  Each move also bisects the
 sorted lists of alive whites and blacks, in O(log n), and deletes from
 them (a memory shift).  A reduction of n vertices scans them once, in
-O(nd), and builds one ColourfulGraph, at the end; the rebuilding loop it
-replaced cost O(n^2 d).  ``stuck_whites`` runs the same engine on the
-matchings of a colour subset I alone, which reduces every component of
-G_I at once: the manifold verdict reduces each d-residue this way without
-reading its partition.
+O(nd), and builds one ColourfulGraph, at the end.  ``stuck_whites`` runs
+the same engine on the matchings of a colour subset I alone, which reduces
+every component of G_I at once: the manifold verdict reduces each
+d-residue this way without reading its partition.
 
 Moves are reported in the coordinates of the graph as relabelled by the
 preceding moves (whites 1..n/2, blacks n/2+1..n, each in label order).
@@ -35,7 +35,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from .errors import Disconnected, InvalidMove
 from .graph import ColourfulGraph, _check_colours, is_connected
@@ -73,23 +73,16 @@ class _Cancellation:
 
     __slots__ = ("d", "fwd", "inv", "whites", "blacks")
 
-    def __init__(self, fwd: List[Dict[int, int]], whites: List[int], blacks: List[int]):
-        self.d = len(fwd) - 1
-        self.fwd = fwd
-        self.inv = [dict(zip(m.values(), m)) for m in fwd]
-        self.whites = whites
-        self.blacks = blacks
-
-    @classmethod
-    def of_graph(
-        cls, G: ColourfulGraph, colours: Optional[Iterable[int]] = None
-    ) -> "_Cancellation":
+    def __init__(self, G: ColourfulGraph, colours: Optional[Iterable[int]] = None):
         """G's matchings, or only those of the given colours (the residue
         G_I, every component at once), in G's labels."""
         whites = list(range(1, G.half + 1))
         ms = G.matchings if colours is None else [G.matchings[c - 1] for c in colours]
-        fwd = [dict(zip(whites, m)) for m in ms]
-        return cls(fwd, whites, list(range(G.half + 1, G.n + 1)))
+        self.d = len(ms) - 1
+        self.fwd = [dict(zip(whites, m)) for m in ms]
+        self.inv = [dict(zip(m, whites)) for m in ms]
+        self.whites = whites
+        self.blacks = list(range(G.half + 1, G.n + 1))
 
     def dipoles_at(self, w: int) -> List[Tuple[int, int]]:
         """(black, free colour index) of each dipole at white w, black ascending.
@@ -158,9 +151,7 @@ def find_dipoles(G: ColourfulGraph) -> List[DipoleMove]:
 
     The 2-vertex graph is terminal rather than a move, so it yields none.
     """
-    if G.half < 2:
-        return []
-    engine = _Cancellation.of_graph(G)
+    engine = _Cancellation(G)
     return [
         DipoleMove(w, b, free + 1)
         for w in engine.whites
@@ -179,7 +170,7 @@ def remove_dipole(G: ColourfulGraph, move: DipoleMove) -> ColourfulGraph:
 
 def replay(G: ColourfulGraph, moves: Iterable[DipoleMove]) -> ColourfulGraph:
     """Apply a move sequence in order (each move in post-relabelling coordinates)."""
-    engine = _Cancellation.of_graph(G)
+    engine = _Cancellation(G)
     whites, blacks = engine.whites, engine.blacks
     for move in moves:
         half = len(whites)
@@ -204,7 +195,7 @@ def melonic_reduce(G: ColourfulGraph) -> ReductionTrace:
     """
     if not is_connected(G):
         raise Disconnected("melonic reduction is defined for connected graphs")
-    engine = _Cancellation.of_graph(G)
+    engine = _Cancellation(G)
     moves = tuple(DipoleMove(*m) for m in engine.reduce())
     terminal = engine.graph() if moves else G
     return ReductionTrace(moves, terminal, terminal.half == 1)
@@ -222,7 +213,7 @@ def stuck_whites(G: ColourfulGraph, I: Iterable[int]) -> List[int]:
     neighbour; a stuck one keeps whites with two or more.  Empty iff every
     component of G_I reduces to the dipole.
     """
-    engine = _Cancellation.of_graph(G, _check_colours(G, I))
+    engine = _Cancellation(G, _check_colours(G, I))
     engine.reduce()
     fwd = engine.fwd
     return [w for w in engine.whites if any(m[w] != fwd[0][w] for m in fwd)]

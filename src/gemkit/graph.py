@@ -25,11 +25,13 @@ colour c); that key is private to this module.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 from .errors import (
+    BadParams,
     BudgetExceeded,
     InvalidColourSet,
     InvariantViolated,
@@ -40,10 +42,29 @@ from .errors import (
 )
 
 # Most colour subsets one call may enumerate: every subset of 13 colours
-# (d = 12).  kappa_table, f_vector, order_complex and the manifold
-# verdict's identity loop read up to 2^|I| residue partitions, so a short
-# file with many colours would otherwise ask for billions of them.
+# (d = 12), or the triples of 37 colours (d = 36).  kappa_table, f_vector,
+# order_complex and the manifold verdict's identity loop read up to 2^|I|
+# residue partitions, and property P reads four per colour triple, so a
+# short file with many colours would otherwise ask for billions of them.
+# The manifold verdict's d-residue sweep, d(d+1) matchings, has the same cap.
 COLOUR_SUBSET_MAX = 1 << 13
+
+# Most matching entries, (d+1)*n/2, that a generated or enumerated graph
+# may hold; a command line of a few digits would otherwise ask for billions.
+GRAPH_ENTRIES_MAX = 1 << 24
+
+
+def _check_size(d: int, n: int) -> None:
+    """Raise unless n is even and >= 2, d >= 1 and the graph fits GRAPH_ENTRIES_MAX."""
+    if n % 2 or n < 2:
+        raise BadParams(f"n must be even and >= 2, got {n}")
+    if d < 1:
+        raise RangeError(f"dimension d must be >= 1, got {d}")
+    entries = (d + 1) * (n // 2)
+    if entries > GRAPH_ENTRIES_MAX:
+        raise BudgetExceeded(
+            f"(d+1)*n/2 = {entries} matching entries, above the limit {GRAPH_ENTRIES_MAX}"
+        )
 
 
 class ColourfulGraph:
@@ -343,8 +364,19 @@ def has_property_P(G: ColourfulGraph) -> bool:
         kappa_{i,j} + kappa_{i,k} + kappa_{j,k} = 2*kappa_I + n/2,
 
     which is what we test per colour triple (no per-component work needed).
+    More than COLOUR_SUBSET_MAX triples (d >= 37) raise BudgetExceeded.
     """
-    return all(_planar_triple(G, I) for I in itertools.combinations(G.colours, 3))
+    return all(_planar_triple(G, I) for I in _colour_triples(G))
+
+
+def _colour_triples(G: ColourfulGraph) -> Iterator[Tuple[int, ...]]:
+    """G's colour triples in lexicographic order, once their count fits the cap."""
+    triples = math.comb(G.d + 1, 3)
+    if triples > COLOUR_SUBSET_MAX:
+        raise BudgetExceeded(
+            f"{G.d + 1} colours have {triples} triples, above the limit {COLOUR_SUBSET_MAX}"
+        )
+    return itertools.combinations(G.colours, 3)
 
 
 def _planar_triple(G: ColourfulGraph, I: Tuple[int, int, int]) -> bool:
@@ -370,7 +402,6 @@ def residue_subgraph(
     comp = _check_component(G, cs, component)
     whites = [v for v in comp if v <= G.half]
     blacks = [v for v in comp if v > G.half]
-    new_white = {v: i for i, v in enumerate(whites, start=1)}
     new_black = {v: len(whites) + i for i, v in enumerate(blacks, start=1)}
     matchings = []
     for c in cs:

@@ -27,8 +27,9 @@ from fractions import Fraction
 from typing import Iterable, Tuple
 
 from .dipoles import melonic_reduce, stuck_whites
-from .errors import Disconnected, InvalidColourSet, InvariantViolated, OddDimension
+from .errors import BudgetExceeded, Disconnected, InvalidColourSet, InvariantViolated, OddDimension
 from .graph import (
+    COLOUR_SUBSET_MAX,
     ColourfulGraph,
     _check_colours,
     _check_component,
@@ -88,7 +89,8 @@ def _unknown(reason: str) -> TopologyVerdict:
 def _positive_genus_witness(G: ColourfulGraph) -> str:
     """Certificate naming the first 3-residue component of positive genus.
 
-    Callers run it only once has_property_P has failed, so one exists.
+    Callers run it only once property P has failed on some triple, so one
+    exists, and the walk stops there: it needs no budget of its own.
     """
     for I in itertools.combinations(range(1, G.d + 2), 3):
         for comp in residues(G, I).components:
@@ -145,7 +147,8 @@ def is_manifold(G: ColourfulGraph) -> TopologyVerdict:
     and Yes follows when every component reaches the dipole.  Once one is
     stuck, a No comes from a positive-genus 3-residue, a failed
     component-count identity or a non-sphere 5-residue; Unknown otherwise,
-    naming the first stuck component.
+    naming the first stuck component.  The sweep reads d(d+1) matchings,
+    and more than COLOUR_SUBSET_MAX (d >= 91) raise BudgetExceeded.
     """
     if G.d <= 2:
         return _yes(f"every {G.d + 1}-colourful graph encodes a closed {G.d}-manifold")
@@ -156,6 +159,11 @@ def is_manifold(G: ColourfulGraph) -> TopologyVerdict:
     if not _planar_triple(G, (1, 2, 3)):
         return _no(_positive_genus_witness(G))
 
+    sweep = G.d * (G.d + 1)
+    if sweep > COLOUR_SUBSET_MAX:
+        raise BudgetExceeded(
+            f"the {G.d}-residue sweep reads {sweep} matchings, above the limit {COLOUR_SUBSET_MAX}"
+        )
     for I in itertools.combinations(range(1, G.d + 2), G.d):
         stuck = stuck_whites(G, I)
         if stuck:

@@ -13,6 +13,7 @@ from gemkit import (
     BudgetExceeded,
     CLASSES,
     ExtensionBoundReport,
+    GemkitError,
     RangeError,
     all_perfect_matchings,
     census,
@@ -22,6 +23,7 @@ from gemkit import (
     enumerate_labelled,
     harmonic_number,
     mean_cycles_uniform,
+    random_graph,
     tuple_count,
     verdicts,
     verify_extension_bound,
@@ -206,6 +208,17 @@ def test_census_budget():
             enumerate_labelled(d, n)
 
 
+@pytest.mark.parametrize("d,n", [(3, 5), (3, 0), (0, 4), (3, 2 * 10**9)])
+def test_every_size_check_raises_the_same_error(d, n):
+    # one check serves the census, the labelled oracle and the sampler
+    raised = set()
+    for call in (tuple_count, enumerate_census, enumerate_labelled, random_graph):
+        with pytest.raises(GemkitError) as exc:
+            call(d, n)
+        raised.add((type(exc.value), str(exc.value)))
+    assert len(raised) == 1, raised
+
+
 def test_budget_counts_every_tuple_even_in_a_shard():
     # 6^4 = 1,296 tuples stand behind the census; the walk visits 216 of
     # them but is held to the whole count
@@ -244,6 +257,9 @@ def test_all_perfect_matchings_counts():
     for n in (-2, -1, 3):
         with pytest.raises(BadParams):
             all_perfect_matchings(n)
+    # 19!! = 654,729,075 matchings are counted, not built
+    with pytest.raises(BudgetExceeded, match=r"^\(n-1\)!! = 654729075 matchings exceed budget"):
+        all_perfect_matchings(20)
     for m in all_perfect_matchings(4):
         assert all(m[m[v - 1] - 1] == v and m[v - 1] != v for v in range(1, 5))
 

@@ -261,6 +261,25 @@ def test_gen_rejects_invalid_pairing(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "sigma,err",
+    [
+        ("1,1", "error: sigma must be a permutation of [1..2], got (1, 1)\n"),
+        ("1,3", "error: sigma must be a permutation of [1..2], got (1, 3)\n"),
+        ("x", "bad sigma 'x'\n"),
+    ],
+)
+def test_gen_rejects_a_sigma_that_is_not_a_permutation(capsys, sigma, err):
+    argv = ["gen", "--d", "3", "--k", "2", "--sigma", sigma, "--tau", "1,2"]
+    if sigma == "x":
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 64
+    else:
+        assert run(argv) == 64
+    assert capsys.readouterr() == ("", err)
+
+
 def test_gen_random_perms_is_seeded(capsys):
     assert run(["gen", "--d", "3", "--k", "4", "--random-perms", "--seed", "5"]) == 0
     first = capsys.readouterr().out
@@ -330,6 +349,55 @@ def test_many_colours_exit_64_on_the_colour_subset_budget(tmp_path, capsys, argv
     assert time.perf_counter() - start < 1
     err = capsys.readouterr().err
     assert err == f"budget: {colours} colours have 2^{colours} subsets, above the limit 8192\n"
+
+
+def _alternating_graph(d):
+    # four vertices whose matchings alternate: no dipole, no planar triple
+    return f"cgf {d} 4\n" + "".join("3 4\n" if c % 2 == 0 else "4 3\n" for c in range(d + 1))
+
+
+@pytest.mark.parametrize(
+    "argv,text,err",
+    [
+        (["check-sphere"], _alternating_graph(120), "121 colours have 287980 triples"),
+        (["check-manifold"], _alternating_graph(120), "the 120-residue sweep reads 14520 matchings"),
+        (["check-manifold"], _alternating_graph(60), "61 colours have 35990 triples"),
+        (["genus"], _alternating_graph(60), "61 colours have 35990 triples"),
+        (["check-manifold"], "cgf 2000 2\n" + "2\n" * 2001, "the 2000-residue sweep reads 4002000 matchings"),
+    ],
+    ids=["sphere-d120", "manifold-d120", "manifold-d60", "genus-d60", "manifold-dipole-d2000"],
+)
+def test_many_colours_exit_64_on_the_triple_and_sweep_budgets(tmp_path, capsys, argv, text, err):
+    # refused before any colour triple or d-residue is read
+    path = tmp_path / "wide.cgf"
+    path.write_text(text)
+    start = time.perf_counter()
+    assert run([argv[0], str(path)]) == 64
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == ("", f"budget: {err}, above the limit 8192\n")
+
+
+@pytest.mark.parametrize(
+    "argv,err",
+    [
+        (["random", "--d", "3", "--n", "2000000000"], "(d+1)*n/2 = 4000000000 matching entries"),
+        (["gen", "--d", "3", "--k", "1", "--sigma", "1", "--tau", "1", "--planar-extend", "100000000"],
+         "(d+1)*n/2 = 600000006 matching entries"),
+        (["gen", "--d", "3", "--k", "1000000000", "--random-perms"],
+         "(d+1)*n/2 = 24000000000 matching entries"),
+        (["gen", "--d", "10000001", "--k", "1", "--sigma", "1", "--tau", "1"],
+         "(d+1)*n/2 = 200000060000004 matching entries"),
+        (["stats-vn", "--kmax", "1000000", "--samples", "1"], "(d+1)*n/2 = 24000000 matching entries"),
+        (["census", "--d", "37", "--n", "2"], "38 colours have 8436 triples"),
+    ],
+    ids=["random", "planar-extend", "random-perms", "gen-d", "stats-vn", "census-d37"],
+)
+def test_generators_exit_64_before_allocating_a_huge_graph(capsys, argv, err):
+    start = time.perf_counter()
+    assert run(argv) == 64
+    assert time.perf_counter() - start < 1
+    limit = 8192 if "triples" in err else 1 << 24
+    assert capsys.readouterr() == ("", f"budget: {err}, above the limit {limit}\n")
 
 
 def test_census_emit_graphs(tmp_path, capsys):

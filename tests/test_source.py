@@ -89,3 +89,23 @@ def test_library_modules_use_every_name_they_import():
             f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used
         ]
     assert unused == []
+
+
+def test_library_functions_read_every_local_they_assign():
+    # a local that is written but never read is left over from a deleted
+    # use; `_` marks a value discarded on purpose
+    package = Path(gemkit.__file__).resolve().parent
+    unread = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            names = [node for node in ast.walk(fn) if isinstance(node, ast.Name)]
+            read = {node.id for node in names if not isinstance(node.ctx, ast.Store)}
+            unread += sorted({
+                f"{path.name}:{fn.name} {node.id}"
+                for node in names
+                if isinstance(node.ctx, ast.Store) and node.id != "_" and node.id not in read
+            })
+    assert unread == []
