@@ -35,26 +35,35 @@ from fractions import Fraction
 from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .constructions import SeedLike, _check_family, _rng, build_manifold, random_construction_params
-from .dipoles import melonic_reduce
 from .errors import BadParams, BudgetExceeded, InvariantViolated, RangeError
 from .graph import (
+    COLOUR_SUBSET_MAX,
     ColourfulGraph,
     _check_size,
     _colour_triples,
     complex_vertex_count,
     count_cycles,
-    has_property_P,
     is_connected,
     residues,
 )
-from .verdicts import Status, euler_poincare_check, is_manifold, is_sphere, lemma1_witness, lemma2_witness
+from .verdicts import (
+    Status,
+    _property_P,
+    _reduction,
+    euler_poincare_check,
+    is_manifold,
+    is_sphere,
+    lemma1_witness,
+    lemma2_witness,
+)
 
 CLASSES = ("all", "propertyP", "manifold", "sphere_yes", "sphere_unknown", "melonic")
 
 DEFAULT_BUDGET = 10**8
 
-# verify_extension_bound searches the (n-1)!! perfect matchings of [1..n]:
-# 135,135 at n=14 (under a second), 2,027,025 at n=16
+# verify_extension_bound searches, and all_perfect_matchings lists, the
+# (n-1)!! perfect matchings of [1..n]: 135,135 at n=14 (under a second),
+# 2,027,025 at n=16 (about 330 MB as tuples)
 EXTENSION_MAX_N = 14
 
 
@@ -65,9 +74,14 @@ def tuple_count(d: int, n: int) -> int:
 
 
 def classify(G: ColourfulGraph) -> FrozenSet[str]:
-    """Class names satisfied by G; sphere classes apply to connected graphs."""
+    """Class names satisfied by G; sphere classes apply to connected graphs.
+
+    Property P and the greedy reduction trace come from the verdicts'
+    per-graph record, which is_manifold and is_sphere read too, so each is
+    decided once.  "melonic" is the trace's reached_dipole.
+    """
     names = {"all"}
-    if has_property_P(G):
+    if _property_P(G):
         names.add("propertyP")
     if is_manifold(G).status is Status.YES:
         names.add("manifold")
@@ -75,9 +89,7 @@ def classify(G: ColourfulGraph) -> FrozenSet[str]:
         verdict = is_sphere(G)
         if verdict.status is Status.YES:
             names.add("sphere_yes")
-            # d >= 3 answers Yes only through the reduction; d <= 2 by genus alone
-            melonic = verdict.certificate.startswith("melonic trace")
-            if melonic or melonic_reduce(G).reached_dipole:
+            if _reduction(G).reached_dipole:
                 names.add("melonic")
         elif verdict.status is Status.UNKNOWN:
             names.add("sphere_unknown")
@@ -176,12 +188,13 @@ def enumerate_census(
 
 def all_perfect_matchings(n: int) -> List[Tuple[int, ...]]:
     """Perfect matchings of [1..n] as involution tuples (partner of v at v-1);
-    more than DEFAULT_BUDGET of them (n >= 20) raise BudgetExceeded before any is built."""
+    n above EXTENSION_MAX_N raises BudgetExceeded before any is built."""
     if n % 2 or n < 0:
         raise BadParams(f"n must be even and >= 0, got {n}")
-    count = math.prod(range(n - 1, 0, -2))
-    if count > DEFAULT_BUDGET:
-        raise BudgetExceeded(f"(n-1)!! = {count} matchings exceed budget {DEFAULT_BUDGET}")
+    if n > EXTENSION_MAX_N:
+        raise BudgetExceeded(
+            f"n={n} above the small-instance limit {EXTENSION_MAX_N} for listing (n-1)!! matchings"
+        )
     out: List[Tuple[int, ...]] = []
     partner = [0] * (n + 1)
 
@@ -306,14 +319,25 @@ def verify_lemma_bounds(
     kappa(i,j) - kappa(I) must be at most n/6.  The alternating identity
     kappa^(2) = 2 kappa^(3) + n/2 is evaluated by the independent counting
     route and must hold exactly on the same (G, I); mismatches in either
-    direction are counted.  check_5 runs the 5-subset bound when d >= 4.
+    direction are counted.  check_5 runs the 5-subset bound when d >= 4;
+    more than COLOUR_SUBSET_MAX 5-sets (d >= 17) raise BudgetExceeded
+    before the walk starts.
 
     Each tuple of the orbit walk adds its orbit's (n/2)! to graphs, checked,
     violations and identity_mismatches; min_slack and the extremal (G, I)
     are those a walk over every tuple finds first.
     """
+    walk = _orbit_walk(d, n, budget)
+    fives: Tuple[Tuple[int, ...], ...] = ()
+    if check_5 and d >= 4:
+        count = math.comb(d + 1, 5)
+        if count > COLOUR_SUBSET_MAX:
+            raise BudgetExceeded(
+                f"{d + 1} colours have {count} 5-sets, above the limit {COLOUR_SUBSET_MAX}"
+            )
+        fives = tuple(itertools.combinations(range(1, d + 2), 5))
     report = LemmaBoundsReport(d, n, 0, 0, 0, None, None, 0)
-    for weight, G in _orbit_walk(d, n, budget):
+    for weight, G in walk:
         report.graphs += weight
         for I in _colour_triples(G):
             w = lemma1_witness(G, I)
@@ -327,17 +351,16 @@ def verify_lemma_bounds(
             if report.min_slack_3 is None or w.slack < report.min_slack_3:
                 report.min_slack_3 = w.slack
                 report.extremal_3 = (G, I)
-        if check_5 and d >= 4:
-            for I in itertools.combinations(range(1, d + 2), 5):
-                w = lemma2_witness(G, I)
-                if not w.hypothesis_met:
-                    continue
-                report.checked_5 += weight
-                if w.slack < 0:
-                    report.violations_5 += weight
-                if report.min_slack_5 is None or w.slack < report.min_slack_5:
-                    report.min_slack_5 = w.slack
-                    report.extremal_5 = (G, I)
+        for I in fives:
+            w = lemma2_witness(G, I)
+            if not w.hypothesis_met:
+                continue
+            report.checked_5 += weight
+            if w.slack < 0:
+                report.violations_5 += weight
+            if report.min_slack_5 is None or w.slack < report.min_slack_5:
+                report.min_slack_5 = w.slack
+                report.extremal_5 = (G, I)
     return report
 
 

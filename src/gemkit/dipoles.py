@@ -192,12 +192,16 @@ def melonic_reduce(G: ColourfulGraph) -> ReductionTrace:
     reached_dipole=True certifies the encoded space is a d-sphere.  A failed
     greedy pass proves nothing: move orders are not known to be confluent,
     so callers must treat it as inconclusive.
+
+    The terminal graph is always built anew, never G itself, even when no
+    move applies: the verdicts keep the trace on G, and a trace that
+    pointed back at G would make every such graph cyclic garbage.
     """
     if not is_connected(G):
         raise Disconnected("melonic reduction is defined for connected graphs")
     engine = _Cancellation(G)
     moves = tuple(DipoleMove(*m) for m in engine.reduce())
-    terminal = engine.graph() if moves else G
+    terminal = engine.graph()
     return ReductionTrace(moves, terminal, terminal.half == 1)
 
 

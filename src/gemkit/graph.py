@@ -75,7 +75,9 @@ class ColourfulGraph:
     colour i+1.  Instances are immutable; all operations are pure functions.
     """
 
-    __slots__ = ("d", "half", "matchings", "_residues")
+    # _verdicts holds the verdicts' per-graph record; only verdicts.py sets
+    # or reads it, so the slot stays unset until a verdict asks for it
+    __slots__ = ("d", "half", "matchings", "_residues", "_verdicts")
 
     def __init__(self, d: int, matchings: Sequence[Sequence[int]]):
         if d < 1:
@@ -135,7 +137,7 @@ class ColourfulGraph:
         return hash((self.d, self.matchings))
 
     def __reduce__(self):
-        # pickle and copy rebuild from the matchings; the memo is not state
+        # pickle and copy rebuild from the matchings; the memos are not state
         return (ColourfulGraph, (self.d, self.matchings))
 
     def __repr__(self) -> str:

@@ -16,6 +16,14 @@ component at once) for a Yes, which implies property P on every triple
 (Ferri-Gagliardi-Grasselli 1986; each 3-residue is then the link of a
 (d-3)-simplex, a 2-sphere).  Only a stuck d-residue pays for property P
 on every triple, the odd-size identities and the 5-residue Betti vectors.
+
+Each fact a verdict rests on is decided once per graph object: property P,
+the first genus witness, the greedy reduction trace and the Betti vector of
+the full complex.  They live in one private record kept on the graph and
+filled in the first time a verdict needs each, so ``classify``,
+``is_manifold`` and ``is_sphere`` share them on one graph, whatever order
+they run in.  Graphs are immutable, so a recorded fact never goes stale;
+equality, hashing and pickling ignore the record.
 """
 
 from __future__ import annotations
@@ -24,9 +32,9 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Tuple
+from typing import Iterable, Optional, Tuple
 
-from .dipoles import melonic_reduce, stuck_whites
+from .dipoles import ReductionTrace, melonic_reduce, stuck_whites
 from .errors import BudgetExceeded, Disconnected, InvalidColourSet, InvariantViolated, OddDimension
 from .graph import (
     COLOUR_SUBSET_MAX,
@@ -42,7 +50,7 @@ from .graph import (
     residue_subgraph,
     residues,
 )
-from .homology import betti_numbers, order_complex, sphere_vector
+from .homology import BettiVector, betti_numbers, order_complex, sphere_vector
 
 
 class Status(Enum):
@@ -86,6 +94,57 @@ def _unknown(reason: str) -> TopologyVerdict:
     return TopologyVerdict(Status.UNKNOWN, reason)
 
 
+@dataclass(slots=True)
+class _Facts:
+    """The facts decided so far about one graph; None until first asked."""
+
+    property_P: Optional[bool] = None
+    witness: Optional[str] = None
+    trace: Optional[ReductionTrace] = None
+    betti: Optional[BettiVector] = None
+
+
+def _facts(G: ColourfulGraph) -> _Facts:
+    """G's record, made on first use."""
+    try:
+        return G._verdicts
+    except AttributeError:
+        facts = G._verdicts = _Facts()
+        return facts
+
+
+def _property_P(G: ColourfulGraph) -> bool:
+    """has_property_P(G), decided once per graph."""
+    facts = _facts(G)
+    if facts.property_P is None:
+        facts.property_P = has_property_P(G)
+    return facts.property_P
+
+
+def _genus_witness(G: ColourfulGraph) -> str:
+    """_positive_genus_witness(G), built once per graph."""
+    facts = _facts(G)
+    if facts.witness is None:
+        facts.witness = _positive_genus_witness(G)
+    return facts.witness
+
+
+def _reduction(G: ColourfulGraph) -> ReductionTrace:
+    """melonic_reduce(G), run once per graph."""
+    facts = _facts(G)
+    if facts.trace is None:
+        facts.trace = melonic_reduce(G)
+    return facts.trace
+
+
+def _betti(G: ColourfulGraph) -> BettiVector:
+    """Betti vector of G's full complex, computed once per graph."""
+    facts = _facts(G)
+    if facts.betti is None:
+        facts.betti = betti_numbers(order_complex(G, G.colours))
+    return facts.betti
+
+
 def _positive_genus_witness(G: ColourfulGraph) -> str:
     """Certificate naming the first 3-residue component of positive genus.
 
@@ -117,14 +176,13 @@ def is_sphere(G: ColourfulGraph) -> TopologyVerdict:
         if emb.genus == 0:
             return _yes("genus witness ((1,2,3), 1, 0)")
         return _no(f"genus witness ((1,2,3), 1, {emb.genus})")
-    trace = melonic_reduce(G)
+    trace = _reduction(G)
     if trace.reached_dipole:
         moves = trace.moves_text() or "(already terminal)"
         return _yes(f"melonic trace {moves}")
-    if not has_property_P(G):
-        return _no(_positive_genus_witness(G))
-    K = order_complex(G, range(1, G.d + 2))
-    b = betti_numbers(K)
+    if not _property_P(G):
+        return _no(_genus_witness(G))
+    b = _betti(G)
     if b.betti != sphere_vector(G.d):
         return _no(f"betti {b.betti}")
     return _unknown(
@@ -153,11 +211,11 @@ def is_manifold(G: ColourfulGraph) -> TopologyVerdict:
     if G.d <= 2:
         return _yes(f"every {G.d + 1}-colourful graph encodes a closed {G.d}-manifold")
     if G.d == 3:
-        if not has_property_P(G):
-            return _no(_positive_genus_witness(G))
+        if not _property_P(G):
+            return _no(_genus_witness(G))
         return _yes("every 3-residue component has genus 0")
     if not _planar_triple(G, (1, 2, 3)):
-        return _no(_positive_genus_witness(G))
+        return _no(_genus_witness(G))
 
     sweep = G.d * (G.d + 1)
     if sweep > COLOUR_SUBSET_MAX:
@@ -180,8 +238,8 @@ def is_manifold(G: ColourfulGraph) -> TopologyVerdict:
         "stuck and no homology obstruction found"
     )
 
-    if not has_property_P(G):
-        return _no(_positive_genus_witness(G))
+    if not _property_P(G):
+        return _no(_genus_witness(G))
     # necessary identity on even-dimensional residues (see
     # euler_poincare_check); |I| = 3 is property P.  One table serves every
     # I: the subsets of all odd-size I number about 3^(d+1)/2.

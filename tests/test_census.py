@@ -70,29 +70,37 @@ def test_classify_known_graphs():
     )
 
 
-@pytest.mark.parametrize("d, n", [(2, 6), (3, 6)])
+@pytest.mark.parametrize("d, n", [(2, 6), (3, 6), (4, 4)])
 def test_classify_reduces_at_most_once(monkeypatch, d, n):
-    # is_sphere's trace already says whether G is melonic at d >= 3
-    calls = []
-    reduce = census.melonic_reduce
+    # property P, the genus witness and the reduction trace are kept in the
+    # verdicts' per-graph record, which classify, is_manifold and is_sphere
+    # share; each is counted in whichever module binds it
+    calls = {"has_property_P": [], "_positive_genus_witness": [], "melonic_reduce": []}
+    for name, seen in calls.items():
 
-    def counted(G):
-        calls.append(G)
-        return reduce(G)
+        def counted(G, original=getattr(verdicts, name), seen=seen):
+            seen.append(G)
+            return original(G)
 
-    monkeypatch.setattr(census, "melonic_reduce", counted)
-    monkeypatch.setattr(verdicts, "melonic_reduce", counted)
+        for module in (census, verdicts):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
     per_graph = []
 
     def classifier(G):
-        before = len(calls)
+        before = {name: len(seen) for name, seen in calls.items()}
         names = census.classify(G)
-        per_graph.append(len(calls) - before)
+        per_graph.append({name: len(seen) - before[name] for name, seen in calls.items()})
         return names
 
     report = enumerate_census(d, n, classifier=classifier)
     assert report.counts["melonic"] > 0
-    assert max(per_graph) == 1
+    assert all(row["has_property_P"] == 1 for row in per_graph)
+    assert max(row["melonic_reduce"] for row in per_graph) == 1
+    # a witness is built only when property P fails at d >= 3; below, genus
+    # alone decides the sphere and every graph is a manifold
+    witnesses = [row["_positive_genus_witness"] for row in per_graph]
+    assert max(witnesses) == (d >= 3 and report.counts["propertyP"] < report.counts["all"])
 
 
 def test_census_smallest_size():
@@ -257,9 +265,12 @@ def test_all_perfect_matchings_counts():
     for n in (-2, -1, 3):
         with pytest.raises(BadParams):
             all_perfect_matchings(n)
-    # 19!! = 654,729,075 matchings are counted, not built
-    with pytest.raises(BudgetExceeded, match=r"^\(n-1\)!! = 654729075 matchings exceed budget"):
-        all_perfect_matchings(20)
+    assert census.EXTENSION_MAX_N == 14
+    assert len(all_perfect_matchings(14)) == 135135
+    # 15!! = 2,027,025 matchings at n = 16 are refused, not built
+    for n in (16, 20, 10**12):
+        with pytest.raises(BudgetExceeded, match=rf"^n={n} above the small-instance limit 14 "):
+            all_perfect_matchings(n)
     for m in all_perfect_matchings(4):
         assert all(m[m[v - 1] - 1] == v and m[v - 1] != v for v in range(1, 5))
 

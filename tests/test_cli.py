@@ -389,14 +389,15 @@ def test_many_colours_exit_64_on_the_triple_and_sweep_budgets(tmp_path, capsys, 
          "(d+1)*n/2 = 200000060000004 matching entries"),
         (["stats-vn", "--kmax", "1000000", "--samples", "1"], "(d+1)*n/2 = 24000000 matching entries"),
         (["census", "--d", "37", "--n", "2"], "38 colours have 8436 triples"),
+        (["verify-lemmas", "--d", "17", "--n", "2", "--check-5"], "18 colours have 8568 5-sets"),
     ],
-    ids=["random", "planar-extend", "random-perms", "gen-d", "stats-vn", "census-d37"],
+    ids=["random", "planar-extend", "random-perms", "gen-d", "stats-vn", "census-d37", "check-5-d17"],
 )
 def test_generators_exit_64_before_allocating_a_huge_graph(capsys, argv, err):
     start = time.perf_counter()
     assert run(argv) == 64
     assert time.perf_counter() - start < 1
-    limit = 8192 if "triples" in err else 1 << 24
+    limit = 8192 if "colours have" in err else 1 << 24
     assert capsys.readouterr() == ("", f"budget: {err}, above the limit {limit}\n")
 
 

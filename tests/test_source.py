@@ -51,6 +51,22 @@ def test_only_graph_knows_the_colour_bitmask():
     assert found == []
 
 
+def test_only_verdicts_knows_the_verdict_record():
+    # the per-graph record of decided facts is a slot that graph.py only
+    # declares and verdicts.py alone sets and reads, so what it holds can
+    # change in one file
+    package = Path(gemkit.__file__).resolve().parent
+    declared, touched = [], []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Constant) and node.value == "_verdicts":
+                declared.append(path.name)
+            elif isinstance(node, ast.Attribute) and node.attr == "_verdicts":
+                touched.append(path.name)
+    assert declared == ["graph.py"]
+    assert set(touched) == {"verdicts.py"}
+
+
 def test_every_error_type_is_raised_somewhere():
     # an error type outlives its last raise only by mistake: delete the
     # raise, and the type and its export must go with it

@@ -1,5 +1,8 @@
 """Three-valued sphere and manifold verdicts with certificates."""
 
+import copy
+import gc
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -22,16 +25,21 @@ from gemkit import (
     TopologyVerdict,
     build_manifold,
     build_planar_family,
+    classify,
     colour_deleted_components,
+    enumerate_census,
     euler_poincare_check,
+    is_connected,
     is_manifold,
     is_rational_homology_sphere,
     is_sphere,
     lemma1_witness,
     lemma2_witness,
+    melonic_reduce,
     random_construction_params,
     random_graph,
     residues,
+    tuple_count,
 )
 from gemkit.dipoles import _Cancellation
 from gemkit.verdicts import _positive_genus_witness
@@ -313,6 +321,68 @@ def test_the_identity_loop_reads_each_colour_subset_once(monkeypatch):
     monkeypatch.undo()
     assert len(calls) < 1 << (d + 2)
     assert v.status is manifold_oracle.is_manifold(G).status is Status.UNKNOWN
+
+
+# ------------------------------------------------ the per-graph record
+
+
+@pytest.mark.parametrize("d, n", [(3, 4), (4, 4)])
+def test_the_verdict_record_gives_the_same_answers_in_any_call_order(d, n):
+    # the verdicts share one record per graph object: one copy answers
+    # is_sphere first and another is_manifold first, and each answer must
+    # be the one a fresh copy gives on its own
+    graphs = []
+    enumerate_census(d, n, emit=lambda G, names: graphs.append(G))
+    assert len(graphs) == tuple_count(d, n)
+    for G in graphs:
+
+        def fresh():
+            return ColourfulGraph(G.d, G.matchings)
+
+        connected = is_connected(G)
+        manifold = is_manifold(fresh())
+        sphere = is_sphere(fresh()) if connected else None
+        # references that keep no record: the residue-ladder oracle and a
+        # direct reduction
+        oracle = manifold_oracle.is_manifold(fresh())
+        assert manifold.status is oracle.status or (oracle.status, manifold.status) == (
+            Status.UNKNOWN,
+            Status.YES,
+        )
+        if oracle.status is Status.NO:
+            assert manifold.certificate == oracle.certificate
+        if connected:
+            assert (sphere.status is Status.YES) == melonic_reduce(fresh()).reached_dipole
+        sphere_first, manifold_first = fresh(), fresh()
+        if connected:
+            assert is_sphere(sphere_first) == sphere
+        assert is_manifold(sphere_first) == manifold
+        assert is_manifold(manifold_first) == manifold
+        if connected:
+            assert is_sphere(manifold_first) == sphere
+        assert classify(sphere_first) == classify(manifold_first) == classify(fresh())
+        # the record is not state: equality, hashing, pickling and copying
+        # see only the matchings, and a copy starts without a record
+        for used in (sphere_first, manifold_first):
+            assert hasattr(used, "_verdicts")
+            assert used == fresh() and hash(used) == hash(fresh())
+            assert pickle.dumps(used) == pickle.dumps(fresh())
+            for clone in (copy.copy(used), copy.deepcopy(used), pickle.loads(pickle.dumps(used))):
+                assert clone == used and hash(clone) == hash(used)
+                assert not hasattr(clone, "_verdicts")
+
+
+def test_the_verdict_record_leaves_no_cyclic_garbage():
+    # the record lives on its graph, so nothing in it may point back at the
+    # graph (a reduction trace's terminal among them): every census graph
+    # must be freed by reference counting, not left to the cycle collector
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_census(3, 6)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # -------------------------------------------- rational homology spheres
