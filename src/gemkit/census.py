@@ -35,12 +35,14 @@ from fractions import Fraction
 from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .constructions import SeedLike, _check_family, _rng, build_manifold, random_construction_params
-from .errors import BadParams, BudgetExceeded, InvariantViolated, RangeError
+from .errors import BadParams, InvariantViolated, RangeError
 from .graph import (
-    COLOUR_SUBSET_MAX,
+    GRAPH_ENTRIES_MAX,
     ColourfulGraph,
+    _check_budget,
+    _check_power_budget,
     _check_size,
-    _colour_triples,
+    _colour_sets,
     complex_vertex_count,
     count_cycles,
     is_connected,
@@ -65,6 +67,11 @@ DEFAULT_BUDGET = 10**8
 # (n-1)!! perfect matchings of [1..n]: 135,135 at n=14 (under a second),
 # 2,027,025 at n=16 (about 330 MB as tuples)
 EXTENSION_MAX_N = 14
+
+
+def _check_extension_n(n: int) -> None:
+    _check_budget(n, EXTENSION_MAX_N,
+                  "n={count} above the small-instance limit {limit} for listing (n-1)!! matchings")
 
 
 def tuple_count(d: int, n: int) -> int:
@@ -130,19 +137,13 @@ class CensusReport:
 def _census_perms(d: int, n: int, budget: int) -> List[Tuple[int, ...]]:
     """Bijections from the white set onto the black set, sorted, for a checked size.
 
-    The budget bounds the (n/2)!^(d+1) tuples the census stands for, not
-    the (n/2)!^d it visits.  The check builds (n/2)! one factor at a time
-    and stops once a partial product's (d+1)-th power passes the budget;
-    from 2 on, a power of more than budget.bit_length() factors does.
+    The budget bounds the (n/2)!^(d+1) tuples the census stands for, not the
+    (n/2)!^d it visits; _check_power_budget decides it, as for enumerate_labelled.
     """
     _check_size(d, n)
-    partial = 1
-    for k in range(1, n // 2 + 1):
-        partial *= k
-        if (partial > 1 and d + 1 > budget.bit_length()) or partial ** (d + 1) > budget:
-            raise BudgetExceeded(
-                f"(n/2)!^(d+1) for n={n}, d={d} exceeds budget {budget}; raise the budget"
-            )
+    _check_power_budget(range(1, n // 2 + 1), d + 1, budget,
+                        "(n/2)!^(d+1) for n={}, d={} exceeds budget {limit}; raise the budget",
+                        n, d)
     return sorted(itertools.permutations(range(n // 2 + 1, n + 1)))
 
 
@@ -191,10 +192,7 @@ def all_perfect_matchings(n: int) -> List[Tuple[int, ...]]:
     n above EXTENSION_MAX_N raises BudgetExceeded before any is built."""
     if n % 2 or n < 0:
         raise BadParams(f"n must be even and >= 0, got {n}")
-    if n > EXTENSION_MAX_N:
-        raise BudgetExceeded(
-            f"n={n} above the small-instance limit {EXTENSION_MAX_N} for listing (n-1)!! matchings"
-        )
+    _check_extension_n(n)
     out: List[Tuple[int, ...]] = []
     partner = [0] * (n + 1)
 
@@ -258,15 +256,12 @@ def enumerate_labelled(d: int, n: int) -> LabelledCensus:
     cycle, and the tuple is skipped.  A kept tuple is relabelled only to
     evaluate the (label-invariant) classify: whites become 1..n/2 and
     blacks n/2+1..n, each in ascending label order.  Counts are raw
-    tallies of labelled tuples.
+    tallies of labelled tuples.  Before any matching is built, the census's
+    _check_power_budget holds the ((n-1)!!)^(d+1) tuples to DEFAULT_BUDGET.
     """
     _check_size(d, n)
-    # (n-1)!! matchings, counted before any is built
-    total = math.prod(range(n - 1, 0, -2)) ** (d + 1)
-    if total > DEFAULT_BUDGET:
-        raise BudgetExceeded(
-            f"matchings^(d+1) = {total} exceeds budget {DEFAULT_BUDGET}"
-        )
+    _check_power_budget(range(n - 1, 0, -2), d + 1, DEFAULT_BUDGET,
+                        "((n-1)!!)^(d+1) for n={}, d={} exceeds budget {limit}", n, d)
     pms = all_perfect_matchings(n)
     counts: Dict[str, int] = {cls: 0 for cls in CLASSES}
     cache: Dict[ColourfulGraph, FrozenSet[str]] = {}
@@ -288,7 +283,7 @@ def enumerate_labelled(d: int, n: int) -> LabelledCensus:
             cache[G] = names
         for cls in names:
             counts[cls] += 1
-    return LabelledCensus(d, n, counts, bipartite, total)
+    return LabelledCensus(d, n, counts, bipartite, len(pms) ** (d + 1))
 
 
 @dataclass
@@ -319,27 +314,21 @@ def verify_lemma_bounds(
     kappa(i,j) - kappa(I) must be at most n/6.  The alternating identity
     kappa^(2) = 2 kappa^(3) + n/2 is evaluated by the independent counting
     route and must hold exactly on the same (G, I); mismatches in either
-    direction are counted.  check_5 runs the 5-subset bound when d >= 4;
-    more than COLOUR_SUBSET_MAX 5-sets (d >= 17) raise BudgetExceeded
-    before the walk starts.
+    direction are counted.  check_5 runs the 5-subset bound when d >= 4.
+    Triples and 5-sets are listed once, before the walk; more than
+    COLOUR_SUBSET_MAX of either (d >= 37, d >= 17) raise BudgetExceeded.
 
     Each tuple of the orbit walk adds its orbit's (n/2)! to graphs, checked,
     violations and identity_mismatches; min_slack and the extremal (G, I)
     are those a walk over every tuple finds first.
     """
     walk = _orbit_walk(d, n, budget)
-    fives: Tuple[Tuple[int, ...], ...] = ()
-    if check_5 and d >= 4:
-        count = math.comb(d + 1, 5)
-        if count > COLOUR_SUBSET_MAX:
-            raise BudgetExceeded(
-                f"{d + 1} colours have {count} 5-sets, above the limit {COLOUR_SUBSET_MAX}"
-            )
-        fives = tuple(itertools.combinations(range(1, d + 2), 5))
+    fives = tuple(_colour_sets(d, 5)) if check_5 else ()
+    triples = tuple(_colour_sets(d, 3))
     report = LemmaBoundsReport(d, n, 0, 0, 0, None, None, 0)
     for weight, G in walk:
         report.graphs += weight
-        for I in _colour_triples(G):
+        for I in triples:
             w = lemma1_witness(G, I)
             if euler_poincare_check(G, I) != w.hypothesis_met:
                 report.identity_mismatches += weight
@@ -413,8 +402,7 @@ def verify_extension_bound(m1: Sequence[int], m2: Sequence[int]) -> ExtensionBou
     [1..n]; n is capped at EXTENSION_MAX_N.
     """
     n = len(m1)
-    if n > EXTENSION_MAX_N:
-        raise BudgetExceeded(f"n={n} above the small-instance limit {EXTENSION_MAX_N}")
+    _check_extension_n(n)
     m1 = _check_involution(m1, n, "m1")
     m2 = _check_involution(m2, n, "m2")
     # one walk around each alternating (m1, m2) cycle numbers the base
@@ -560,12 +548,16 @@ def vn_experiment(ks: Sequence[int], samples: int, seed: int = 0) -> StatsReport
     Built graphs (d = 3) need valid (sigma, tau) pairs (parity-preserving
     as d is odd), so the per-row cycle mean over those pairs is reported
     separately from the unrestricted-uniform simulation mean that tracks H_k.
+    Before any is built, the largest graph and the run's samples * 24k
+    matching entries summed over k must each fit GRAPH_ENTRIES_MAX.
     """
     if samples < 1:
         raise RangeError(f"samples must be >= 1, got {samples}")
     d = 3
-    # the largest graph is refused before any is built
     _check_family(d, max(ks, default=1))
+    _check_budget(samples * (d + 1) * 2 * d * sum(ks), GRAPH_ENTRIES_MAX,
+                  "samples * sum over k of (d+1)*n/2 = {count} matching entries, "
+                  "above the limit {limit}")
     rng = _rng(seed)
     rows = []
     for k in ks:

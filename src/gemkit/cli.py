@@ -30,7 +30,7 @@ from .errors import BudgetExceeded, FormatError, GemkitError
 from .formats import parse_cgf, to_dot, write_cgf
 from .graph import (
     ColourfulGraph,
-    _colour_triples,
+    _colour_sets,
     f_vector,
     genus_of_residue,
     is_connected,
@@ -198,7 +198,7 @@ def _run_kappa(args) -> int:
 
 def _run_genus(args) -> int:
     G = _read_graph(args.file)
-    for I in _colour_triples(G):
+    for I in _colour_sets(G.d, 3):
         part = residues(G, I)
         for comp in part.components:
             emb = genus_of_residue(G, I, comp)
@@ -280,13 +280,15 @@ def _run_random(args) -> int:
 def _run_census(args) -> int:
     emit = None
     if args.emit_graphs:
-        try:
-            os.makedirs(args.emit_graphs, exist_ok=True)
-        except OSError as e:
-            _fail(EX_USAGE, f"cannot write {args.emit_graphs}: {e}")
         counter = [0]
 
         def emit(G, names):
+            # made at the first graph, so a refused size leaves no directory
+            if not counter[0]:
+                try:
+                    os.makedirs(args.emit_graphs, exist_ok=True)
+                except OSError as e:
+                    _fail(EX_USAGE, f"cannot write {args.emit_graphs}: {e}")
             counter[0] += 1
             tag = "_".join(sorted(names - {"all"})) or "plain"
             path = os.path.join(args.emit_graphs, f"{counter[0]:06d}_{tag}.cgf")

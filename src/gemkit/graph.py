@@ -41,17 +41,32 @@ from .errors import (
     RangeError,
 )
 
-# Most colour subsets one call may enumerate: every subset of 13 colours
-# (d = 12), or the triples of 37 colours (d = 36).  kappa_table, f_vector,
-# order_complex and the manifold verdict's identity loop read up to 2^|I|
-# residue partitions, and property P reads four per colour triple, so a
-# short file with many colours would otherwise ask for billions of them.
-# The manifold verdict's d-residue sweep, d(d+1) matchings, has the same cap.
+# Most colour subsets, triples, 5-sets or d-residue matchings one call may read (the
+# README's refusal table lists each); a short file with many colours asks for billions.
 COLOUR_SUBSET_MAX = 1 << 13
 
-# Most matching entries, (d+1)*n/2, that a generated or enumerated graph
-# may hold; a command line of a few digits would otherwise ask for billions.
+# Most matching entries, (d+1)*n/2, that a generated or enumerated graph, or a
+# whole sampling run, may hold; a few command-line digits could ask for billions.
 GRAPH_ENTRIES_MAX = 1 << 24
+
+
+def _check_budget(count: int, limit: int, message: str, *args) -> None:
+    """The package's one refusal: BudgetExceeded if count > limit, message formatted only then."""
+    if count > limit:
+        raise BudgetExceeded(message.format(*args, count=count, limit=limit))
+
+
+def _check_power_budget(factors: Iterable[int], power: int, budget: int, message: str, *args):
+    """_check_budget on product(factors) ** power, factors >= 1, grown a factor at a time;
+    from 2 on, a power above budget.bit_length() passes the budget unbuilt and budget + 1
+    stands in for it, so message names the count's inputs, not the count."""
+    count = partial = 1
+    for f in factors:
+        partial *= f
+        count = budget + 1 if partial > 1 and power > budget.bit_length() else partial ** power
+        if count > budget:
+            break
+    _check_budget(count, budget, message, *args)
 
 
 def _check_size(d: int, n: int) -> None:
@@ -60,11 +75,8 @@ def _check_size(d: int, n: int) -> None:
         raise BadParams(f"n must be even and >= 2, got {n}")
     if d < 1:
         raise RangeError(f"dimension d must be >= 1, got {d}")
-    entries = (d + 1) * (n // 2)
-    if entries > GRAPH_ENTRIES_MAX:
-        raise BudgetExceeded(
-            f"(d+1)*n/2 = {entries} matching entries, above the limit {GRAPH_ENTRIES_MAX}"
-        )
+    _check_budget((d + 1) * (n // 2), GRAPH_ENTRIES_MAX,
+                  "(d+1)*n/2 = {count} matching entries, above the limit {limit}")
 
 
 class ColourfulGraph:
@@ -198,11 +210,8 @@ def _check_colours(G: ColourfulGraph, I: Iterable[int]) -> Tuple[int, ...]:
 
 def _check_subset_budget(colour_count: int) -> None:
     """Raise BudgetExceeded if the subsets of colour_count colours exceed the cap."""
-    if 1 << colour_count > COLOUR_SUBSET_MAX:
-        raise BudgetExceeded(
-            f"{colour_count} colours have 2^{colour_count} subsets, "
-            f"above the limit {COLOUR_SUBSET_MAX}"
-        )
+    _check_power_budget((2,), colour_count, COLOUR_SUBSET_MAX,
+                        "{0} colours have 2^{0} subsets, above the limit {limit}", colour_count)
 
 
 def residues(G: ColourfulGraph, I: Iterable[int]) -> ResiduePartition:
@@ -368,17 +377,15 @@ def has_property_P(G: ColourfulGraph) -> bool:
     which is what we test per colour triple (no per-component work needed).
     More than COLOUR_SUBSET_MAX triples (d >= 37) raise BudgetExceeded.
     """
-    return all(_planar_triple(G, I) for I in _colour_triples(G))
+    return all(_planar_triple(G, I) for I in _colour_sets(G.d, 3))
 
 
-def _colour_triples(G: ColourfulGraph) -> Iterator[Tuple[int, ...]]:
-    """G's colour triples in lexicographic order, once their count fits the cap."""
-    triples = math.comb(G.d + 1, 3)
-    if triples > COLOUR_SUBSET_MAX:
-        raise BudgetExceeded(
-            f"{G.d + 1} colours have {triples} triples, above the limit {COLOUR_SUBSET_MAX}"
-        )
-    return itertools.combinations(G.colours, 3)
+def _colour_sets(d: int, k: int) -> Iterator[Tuple[int, ...]]:
+    """The k-sets of colours 1..d+1 in lexicographic order, once their count fits the cap."""
+    noun = "triples" if k == 3 else f"{k}-sets"
+    _check_budget(math.comb(d + 1, k), COLOUR_SUBSET_MAX,
+                  "{} colours have {count} {}, above the limit {limit}", d + 1, noun)
+    return itertools.combinations(range(1, d + 2), k)
 
 
 def _planar_triple(G: ColourfulGraph, I: Tuple[int, int, int]) -> bool:

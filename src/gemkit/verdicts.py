@@ -35,10 +35,11 @@ from fractions import Fraction
 from typing import Iterable, Optional, Tuple
 
 from .dipoles import ReductionTrace, melonic_reduce, stuck_whites
-from .errors import BudgetExceeded, Disconnected, InvalidColourSet, InvariantViolated, OddDimension
+from .errors import Disconnected, InvalidColourSet, InvariantViolated, OddDimension
 from .graph import (
     COLOUR_SUBSET_MAX,
     ColourfulGraph,
+    _check_budget,
     _check_colours,
     _check_component,
     _planar_triple,
@@ -217,11 +218,8 @@ def is_manifold(G: ColourfulGraph) -> TopologyVerdict:
     if not _planar_triple(G, (1, 2, 3)):
         return _no(_genus_witness(G))
 
-    sweep = G.d * (G.d + 1)
-    if sweep > COLOUR_SUBSET_MAX:
-        raise BudgetExceeded(
-            f"the {G.d}-residue sweep reads {sweep} matchings, above the limit {COLOUR_SUBSET_MAX}"
-        )
+    _check_budget(G.d * (G.d + 1), COLOUR_SUBSET_MAX,
+                  "the {}-residue sweep reads {count} matchings, above the limit {limit}", G.d)
     for I in itertools.combinations(range(1, G.d + 2), G.d):
         stuck = stuck_whites(G, I)
         if stuck:

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -210,6 +211,14 @@ def test_census_budget():
     # refused before any of the 29!! matchings of [1..30] is built
     with pytest.raises(BudgetExceeded):
         enumerate_labelled(3, 30)
+    # ((n-1)!!)^(d+1) has tens of thousands of digits or more here; it is
+    # refused without being built or printed
+    for n in (20000, 2**23):
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded) as exc:
+            enumerate_labelled(1, n)
+        assert time.perf_counter() - start < 1
+        assert str(exc.value) == f"((n-1)!!)^(d+1) for n={n}, d=1 exceeds budget 100000000"
     for d, n, error in BAD_CENSUS_SIZES:
         message = f"dimension d must be >= 1, got {d}" if d < 1 else f"n must be even and >= 2, got {n}"
         with pytest.raises(error, match=rf"^{message}$"):
@@ -241,7 +250,7 @@ def test_budget_counts_every_tuple_even_in_a_shard():
         )
 
 
-def test_budget_check_agrees_with_the_full_product():
+def test_budget_check_agrees_with_the_full_product(monkeypatch):
     # the factor-by-factor check refuses exactly the sizes whose whole
     # product (n/2)!^(d+1) passes the budget, also where it never builds it
     budgets = [0, 1] + [2**b + e for b in range(1, 40) for e in (-1, 0)]
@@ -254,6 +263,26 @@ def test_budget_check_agrees_with_the_full_product():
                 except BudgetExceeded:
                     refused = True
                 assert refused == (tuple_count(d, n) > budget), (d, n, budget)
+
+    # the labelled oracle holds ((n-1)!!)^(d+1) to DEFAULT_BUDGET the same
+    # way; a size it accepts reaches the matchings, stopped here unbuilt
+    class Accepted(Exception):
+        pass
+
+    def accepted(n):
+        raise Accepted
+
+    monkeypatch.setattr(census, "all_perfect_matchings", accepted)
+    for d in range(1, 42):
+        for n in range(2, 15, 2):
+            try:
+                enumerate_labelled(d, n)
+            except Accepted:
+                refused = False
+            except BudgetExceeded:
+                refused = True
+            count = math.prod(range(n - 1, 0, -2)) ** (d + 1)
+            assert refused == (count > census.DEFAULT_BUDGET), (d, n)
 
 
 def test_all_perfect_matchings_counts():

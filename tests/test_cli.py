@@ -319,17 +319,21 @@ def test_census_budget_exit(capsys):
     assert "raise the budget" in err and "shard" not in err
 
 
-@pytest.mark.parametrize("command", ["census", "verify-lemmas"])
+@pytest.mark.parametrize("command", ["census", "verify-lemmas", "census-emit-graphs"])
 @pytest.mark.parametrize("n", ["-2", "5", "1000000"])
-def test_census_sizes_exit_64_before_any_output(capsys, command, n):
+def test_census_sizes_exit_64_before_any_output(tmp_path, capsys, command, n):
     # n is checked before any arithmetic, and the budget without building
-    # the whole (n/2)!^(d+1)
+    # the whole (n/2)!^(d+1); the --emit-graphs directory is made only at
+    # the first graph, so a refused size leaves none behind
+    emit_dir = tmp_path / "deep" / "dir"
+    argv = ["census", "--emit-graphs", str(emit_dir)] if command == "census-emit-graphs" else [command]
     start = time.perf_counter()
-    assert run([command, "--d", "3", "--n", n]) == 64
+    assert run([*argv, "--d", "3", "--n", n]) == 64
     assert time.perf_counter() - start < 1
     out, err = capsys.readouterr()
     assert out == ""
     assert "Traceback" not in err
+    assert not emit_dir.parent.exists()
 
 
 @pytest.mark.parametrize(
@@ -388,10 +392,15 @@ def test_many_colours_exit_64_on_the_triple_and_sweep_budgets(tmp_path, capsys, 
         (["gen", "--d", "10000001", "--k", "1", "--sigma", "1", "--tau", "1"],
          "(d+1)*n/2 = 200000060000004 matching entries"),
         (["stats-vn", "--kmax", "1000000", "--samples", "1"], "(d+1)*n/2 = 24000000 matching entries"),
+        (["stats-vn", "--kmax", "1", "--samples", "1000000000"],
+         "samples * sum over k of (d+1)*n/2 = 24000000000 matching entries"),
+        (["stats-vn", "--kmax", "100000", "--samples", "1"],
+         "samples * sum over k of (d+1)*n/2 = 120001200000 matching entries"),
         (["census", "--d", "37", "--n", "2"], "38 colours have 8436 triples"),
         (["verify-lemmas", "--d", "17", "--n", "2", "--check-5"], "18 colours have 8568 5-sets"),
     ],
-    ids=["random", "planar-extend", "random-perms", "gen-d", "stats-vn", "census-d37", "check-5-d17"],
+    ids=["random", "planar-extend", "random-perms", "gen-d", "stats-vn", "stats-vn-samples",
+         "stats-vn-total", "census-d37", "check-5-d17"],
 )
 def test_generators_exit_64_before_allocating_a_huge_graph(capsys, argv, err):
     start = time.perf_counter()
@@ -488,8 +497,12 @@ def test_bound_check_refuses_a_16_vertex_base(tmp_path, capsys):
     path = tmp_path / "base16.cgf"
     blacks = tuple(range(9, 17))
     path.write_text(write_cgf(ColourfulGraph(1, (blacks, blacks))))
+    start = time.perf_counter()
     assert run(["bound-check", "--cgf2", str(path)]) == 64
-    assert "n=16 above the small-instance limit 14" in capsys.readouterr().err
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == (
+        "", "budget: n=16 above the small-instance limit 14 for listing (n-1)!! matchings\n"
+    )
 
 
 def test_stats_vn(capsys):

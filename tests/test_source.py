@@ -51,6 +51,19 @@ def test_only_graph_knows_the_colour_bitmask():
     assert found == []
 
 
+def test_only_graph_raises_budget_exceeded():
+    # every refusal goes through one helper in graph.py, which builds its
+    # message only on refusal, so the compare-and-phrase step has one home
+    package = Path(gemkit.__file__).resolve().parent
+    found = [
+        f"{path.name}:{lineno}"
+        for path in sorted(package.rglob("*.py"))
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+        if "raise BudgetExceeded(" in line
+    ]
+    assert len(found) == 1 and found[0].startswith("graph.py:"), found
+
+
 def test_only_verdicts_knows_the_verdict_record():
     # the per-graph record of decided facts is a slot that graph.py only
     # declares and verdicts.py alone sets and reads, so what it holds can
