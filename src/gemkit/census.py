@@ -27,6 +27,7 @@ generation (McKay, "Isomorph-free exhaustive generation", J. Algorithms
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import statistics
@@ -387,6 +388,64 @@ def verify_extension_bound(m1: Sequence[int], m2: Sequence[int]) -> ExtensionBou
     total bicoloured cycles == 2k + n/2 (k components of the extension).
     Each bucket count must be at most 2^(5n) * n^(c-k).
 
+    Every field depends on (m1, m2) only through the lengths of the
+    alternating cycles of m1 u m2: relabelling [1..n] maps completions to
+    completions.  So the counts are searched once per cycle type per
+    process, on a canonical base of that type, and each call builds a
+    fresh report from them, with bucket keys in ascending k.  n is capped
+    at EXTENSION_MAX_N, which leaves 45 cycle types in all.
+    """
+    n = len(m1)
+    _check_extension_n(n)
+    m1 = _check_involution(m1, n, "m1")
+    m2 = _check_involution(m2, n, "m2")
+    seen = [False] * (n + 1)
+    lengths = []
+    for start in range(1, n + 1):
+        v, length = start, 0
+        while not seen[v]:
+            u = m1[v - 1]
+            seen[v] = seen[u] = True
+            length += 2
+            v = m2[u - 1]
+        if length:
+            lengths.append(length)
+    lengths.sort(reverse=True)
+    return _extension_report(n, *_extension_counts(tuple(lengths)))
+
+
+@functools.lru_cache(maxsize=None)
+def _extension_counts(lengths: Tuple[int, ...]) -> Tuple[int, Dict[int, int]]:
+    """(c, planar completions by k, keys ascending) for the alternating-cycle
+    lengths of a base, longest first, searched on the base that lays those
+    cycles on consecutive vertices, longest first.  Callers copy the dict."""
+    n = sum(lengths)
+    m1, m2 = [0] * (n + 1), [0] * (n + 1)
+    first = 1
+    for length in lengths:
+        last = first + length - 1
+        for a in range(first, last, 2):
+            m1[a], m1[a + 1] = a + 1, a
+            b = a + 2 if a + 2 <= last else first
+            m2[a + 1], m2[b] = b, a + 1
+        first = last + 1
+    c, buckets = _extension_search(tuple(m1[1:]), tuple(m2[1:]))
+    return c, dict(sorted(buckets.items()))
+
+
+def _extension_report(n: int, c: int, buckets: Dict[int, int]) -> ExtensionBoundReport:
+    """A report holding a copy of the search's counts, keys in their order."""
+    buckets = dict(buckets)
+    bounds = {k: 2 ** (5 * n) * n ** (c - k) for k in buckets}
+    violations = [k for k, cnt in buckets.items() if cnt > bounds[k]]
+    tried = math.prod(range(n - 1, 0, -2))
+    return ExtensionBoundReport(n, c, buckets, bounds, violations, tried, sum(buckets.values()))
+
+
+def _extension_search(m1: Tuple[int, ...], m2: Tuple[int, ...]) -> Tuple[int, Dict[int, int]]:
+    """(c, planar completions by k in the order first found) for checked
+    involutions m1, m2 as labelled; uncached.
+
     m3 is built by a depth-first search, one edge at a time: each step
     pairs the lowest free vertex with each higher free vertex in turn.
     While m3 is partial, m1 u m3 and m2 u m3 are disjoint paths and
@@ -398,13 +457,10 @@ def verify_extension_bound(m1: Sequence[int], m2: Sequence[int]) -> ExtensionBou
     a 2-colouring.  An edge joining two vertices of one component on the
     same side closes an odd cycle, so no completion below it is bipartite
     and the whole subtree is skipped.  Skipped completions still count in
-    extensions_tried, which is (n-1)!!, the number of perfect matchings of
-    [1..n]; n is capped at EXTENSION_MAX_N.
+    the report's extensions_tried, which is (n-1)!!, the number of perfect
+    matchings of [1..n].
     """
     n = len(m1)
-    _check_extension_n(n)
-    m1 = _check_involution(m1, n, "m1")
-    m2 = _check_involution(m2, n, "m2")
     # one walk around each alternating (m1, m2) cycle numbers the base
     # components and 2-colours them
     cycle = [-1] * (n + 1)
@@ -475,11 +531,7 @@ def verify_extension_bound(m1: Sequence[int], m2: Sequence[int]) -> ExtensionBou
                 up_b[child_b] = child_b
 
     extend((1 << (n + 1)) - 2, c, 0)  # bits 1..n
-    planar = sum(buckets.values())
-    bounds = {k: 2 ** (5 * n) * n ** (c - k) for k in buckets}
-    violations = [k for k, cnt in buckets.items() if cnt > bounds[k]]
-    tried = math.prod(range(n - 1, 0, -2))
-    return ExtensionBoundReport(n, c, buckets, bounds, violations, tried, planar)
+    return c, buckets
 
 
 def harmonic_number(k: int) -> float:
@@ -549,13 +601,20 @@ def vn_experiment(ks: Sequence[int], samples: int, seed: int = 0) -> StatsReport
     as d is odd), so the per-row cycle mean over those pairs is reported
     separately from the unrestricted-uniform simulation mean that tracks H_k.
     Before any is built, the largest graph and the run's samples * 24k
-    matching entries summed over k must each fit GRAPH_ENTRIES_MAX.
+    matching entries summed over k must each fit GRAPH_ENTRIES_MAX; a range
+    of ks is read by its ends and length, not listed.
     """
     if samples < 1:
         raise RangeError(f"samples must be >= 1, got {samples}")
     d = 3
-    _check_family(d, max(ks, default=1))
-    _check_budget(samples * (d + 1) * 2 * d * sum(ks), GRAPH_ENTRIES_MAX,
+    if isinstance(ks, range):
+        # read arithmetically: stats-vn passes range(1, kmax + 1) for any kmax
+        largest = max(ks[0], ks[-1]) if ks else 1
+        total = len(ks) * (ks[0] + ks[-1]) // 2 if ks else 0
+    else:
+        largest, total = max(ks, default=1), sum(ks)
+    _check_family(d, largest)
+    _check_budget(samples * (d + 1) * 2 * d * total, GRAPH_ENTRIES_MAX,
                   "samples * sum over k of (d+1)*n/2 = {count} matching entries, "
                   "above the limit {limit}")
     rng = _rng(seed)

@@ -449,6 +449,11 @@ def _base_of_type(lengths, rng):
 N10_TYPES = [(10,), (8, 2), (6, 4), (6, 2, 2), (4, 4, 2), (4, 2, 2, 2), (2, 2, 2, 2, 2)]
 
 
+def _searched(m1, m2):
+    """The extension search's report for the labelling given, uncached."""
+    return census._extension_report(len(m1), *census._extension_search(m1, m2))
+
+
 def test_extension_search_matches_the_oracle():
     pairs = [
         pair
@@ -463,10 +468,13 @@ def test_extension_search_matches_the_oracle():
         pairs.append((m1, m2))
     assert pairs[-1][0] == pairs[-1][1]
     for m1, m2 in pairs:
-        report, expected = verify_extension_bound(m1, m2), extension_bound(m1, m2)
+        report, expected = _searched(m1, m2), extension_bound(m1, m2)
         assert report == expected, (m1, m2)
         assert list(report.buckets) == list(expected.buckets)
         assert report.extensions_tried == _double_factorial(len(m1))
+        public = verify_extension_bound(m1, m2)
+        assert public == expected, (m1, m2)
+        assert list(public.buckets) == sorted(expected.buckets)
 
 
 def test_extension_bound_is_invariant_under_relabelling():
@@ -481,8 +489,8 @@ def test_extension_bound_is_invariant_under_relabelling():
             for m, out in zip((m1, m2), conj):
                 for v in range(1, n + 1):
                     out[p[v - 1] - 1] = p[m[v - 1] - 1]
-            report = verify_extension_bound(m1, m2)
-            assert verify_extension_bound(*conj) == report, (m1, m2, p)
+            report = _searched(m1, m2)
+            assert _searched(*conj) == report, (m1, m2, p)
             assert report.extensions_tried == _double_factorial(n)
 
 
@@ -497,7 +505,7 @@ def _search_leaves(m1, m2):
 
     sys.setprofile(count)
     try:
-        verify_extension_bound(m1, m2)
+        census._extension_search(m1, m2)
     finally:
         sys.setprofile(None)
     return leaves
@@ -519,6 +527,37 @@ def test_the_extension_search_reaches_only_bipartite_completions():
             for m3 in all_perfect_matchings(n)
         )
         assert _search_leaves(m1, m2) == bipartite, (m1, m2)
+
+
+def test_the_n8_extension_battery_matches_the_oracle():
+    # every base pair up to n = 8 against the oracle on one base of its
+    # cycle type; the counts are searched once per type
+    census._extension_counts.cache_clear()
+    expected = {}
+    for n in (0, 2, 4, 6, 8):
+        for m1, m2 in itertools.product(all_perfect_matchings(n), repeat=2):
+            ctype = _cycle_type(m1, m2)
+            if ctype not in expected:
+                expected[ctype] = extension_bound(m1, m2)
+            report = verify_extension_bound(m1, m2)
+            assert report == expected[ctype], (m1, m2)
+            assert list(report.buckets) == sorted(report.buckets)
+    assert len(expected) == 12
+    assert census._extension_counts.cache_info().currsize == 12
+
+
+def test_extension_reports_are_fresh():
+    rng = random.Random(12)
+    m1, m2 = _base_of_type((4, 2, 2), rng)
+    expected = extension_bound(m1, m2)
+    report = verify_extension_bound(m1, m2)
+    report.buckets[1] += 1
+    report.buckets[9] = 1
+    report.bounds.clear()
+    report.violations.append(1)
+    again = verify_extension_bound(*_base_of_type((4, 2, 2), rng))
+    assert again == expected
+    assert list(again.buckets) == [1, 2, 3]
 
 
 def _catalan(k):

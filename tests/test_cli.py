@@ -392,6 +392,9 @@ def test_many_colours_exit_64_on_the_triple_and_sweep_budgets(tmp_path, capsys, 
         (["gen", "--d", "10000001", "--k", "1", "--sigma", "1", "--tau", "1"],
          "(d+1)*n/2 = 200000060000004 matching entries"),
         (["stats-vn", "--kmax", "1000000", "--samples", "1"], "(d+1)*n/2 = 24000000 matching entries"),
+        # the range of k is read by its ends, never listed
+        (["stats-vn", "--kmax", "10000000000", "--samples", "1"],
+         "(d+1)*n/2 = 240000000000 matching entries"),
         (["stats-vn", "--kmax", "1", "--samples", "1000000000"],
          "samples * sum over k of (d+1)*n/2 = 24000000000 matching entries"),
         (["stats-vn", "--kmax", "100000", "--samples", "1"],
@@ -399,8 +402,8 @@ def test_many_colours_exit_64_on_the_triple_and_sweep_budgets(tmp_path, capsys, 
         (["census", "--d", "37", "--n", "2"], "38 colours have 8436 triples"),
         (["verify-lemmas", "--d", "17", "--n", "2", "--check-5"], "18 colours have 8568 5-sets"),
     ],
-    ids=["random", "planar-extend", "random-perms", "gen-d", "stats-vn", "stats-vn-samples",
-         "stats-vn-total", "census-d37", "check-5-d17"],
+    ids=["random", "planar-extend", "random-perms", "gen-d", "stats-vn", "stats-vn-kmax",
+         "stats-vn-samples", "stats-vn-total", "census-d37", "check-5-d17"],
 )
 def test_generators_exit_64_before_allocating_a_huge_graph(capsys, argv, err):
     start = time.perf_counter()
