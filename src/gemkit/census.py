@@ -390,10 +390,11 @@ def verify_extension_bound(m1: Sequence[int], m2: Sequence[int]) -> ExtensionBou
 
     Every field depends on (m1, m2) only through the lengths of the
     alternating cycles of m1 u m2: relabelling [1..n] maps completions to
-    completions.  So the counts are searched once per cycle type per
-    process, on a canonical base of that type, and each call builds a
-    fresh report from them, with bucket keys in ascending k.  n is capped
-    at EXTENSION_MAX_N, which leaves 45 cycle types in all.
+    completions.  So this walks those cycles once, and _extension_counts
+    searches the completions once per cycle type per process, on a base
+    it lays out from the lengths alone; each call builds a fresh report
+    from them, with bucket keys in ascending k.  n is capped at
+    EXTENSION_MAX_N, which leaves 45 cycle types in all.
     """
     n = len(m1)
     _check_extension_n(n)
@@ -416,35 +417,14 @@ def verify_extension_bound(m1: Sequence[int], m2: Sequence[int]) -> ExtensionBou
 
 @functools.lru_cache(maxsize=None)
 def _extension_counts(lengths: Tuple[int, ...]) -> Tuple[int, Dict[int, int]]:
-    """(c, planar completions by k, keys ascending) for the alternating-cycle
-    lengths of a base, longest first, searched on the base that lays those
-    cycles on consecutive vertices, longest first.  Callers copy the dict."""
-    n = sum(lengths)
-    m1, m2 = [0] * (n + 1), [0] * (n + 1)
-    first = 1
-    for length in lengths:
-        last = first + length - 1
-        for a in range(first, last, 2):
-            m1[a], m1[a + 1] = a + 1, a
-            b = a + 2 if a + 2 <= last else first
-            m2[a + 1], m2[b] = b, a + 1
-        first = last + 1
-    c, buckets = _extension_search(tuple(m1[1:]), tuple(m2[1:]))
-    return c, dict(sorted(buckets.items()))
+    """(c, planar completions by k, keys ascending) for a base whose
+    alternating cycles have the given lengths, longest first.  Callers
+    copy the dict.
 
-
-def _extension_report(n: int, c: int, buckets: Dict[int, int]) -> ExtensionBoundReport:
-    """A report holding a copy of the search's counts, keys in their order."""
-    buckets = dict(buckets)
-    bounds = {k: 2 ** (5 * n) * n ** (c - k) for k in buckets}
-    violations = [k for k, cnt in buckets.items() if cnt > bounds[k]]
-    tried = math.prod(range(n - 1, 0, -2))
-    return ExtensionBoundReport(n, c, buckets, bounds, violations, tried, sum(buckets.values()))
-
-
-def _extension_search(m1: Tuple[int, ...], m2: Tuple[int, ...]) -> Tuple[int, Dict[int, int]]:
-    """(c, planar completions by k in the order first found) for checked
-    involutions m1, m2 as labelled; uncached.
+    The search lays the cycles on consecutive vertices in the order given:
+    cycle i on first..last has the m1 edges {a, a+1} and the m2 edges
+    {a+1, a+2} for a = first, first+2, ..., with a+2 read as first at the
+    end.  So a lies on side 0 of the cycle's 2-colouring and a+1 on side 1.
 
     m3 is built by a depth-first search, one edge at a time: each step
     pairs the lowest free vertex with each higher free vertex in turn.
@@ -459,28 +439,29 @@ def _extension_search(m1: Tuple[int, ...], m2: Tuple[int, ...]) -> Tuple[int, Di
     and the whole subtree is skipped.  Skipped completions still count in
     the report's extensions_tried, which is (n-1)!!, the number of perfect
     matchings of [1..n].
+
+    The union-find runs over the c cycles, not the vertices, and keeps
+    each cycle's side relative to its parent.  It has no path compression,
+    so a union is undone by detaching the root it attached.  Nor is it
+    balanced: c <= n/2 <= EXTENSION_MAX_N/2 = 7, so a find walks at most
+    6 links whichever root goes under which.
     """
-    n = len(m1)
-    # one walk around each alternating (m1, m2) cycle numbers the base
-    # components and 2-colours them
-    cycle = [-1] * (n + 1)
-    side = [0] * (n + 1)
-    c = 0
-    for start in range(1, n + 1):
-        if cycle[start] >= 0:
-            continue
-        v = start
-        while cycle[v] < 0:
-            u = m1[v - 1]
-            cycle[v], cycle[u], side[u] = c, c, 1
-            v = m2[u - 1]
-        c += 1
-    # a union-find by size over the base components, without path
-    # compression, so a union is undone by detaching the root it attached;
-    # each cycle keeps its side relative to its parent
-    up_b, size_b, flip = list(range(c)), [1] * c, [0] * c
+    n, c = sum(lengths), len(lengths)
+    cycle, side = [0] * (n + 1), [0] * (n + 1)
     # before any m3 edge, each m1 (m2) edge is a path of its own
-    end1, end2 = [0, *m1], [0, *m2]
+    end1, end2 = [0] * (n + 1), [0] * (n + 1)
+    first = 1
+    for i, length in enumerate(lengths):
+        last = first + length - 1
+        for a in range(first, last, 2):
+            b = a + 2 if a + 2 <= last else first
+            cycle[a] = cycle[a + 1] = i
+            side[a + 1] = 1
+            end1[a], end1[a + 1] = a + 1, a
+            end2[a + 1], end2[b] = b, a + 1
+        first = last + 1
+    # the parity union-find over the cycles
+    up, flip = list(range(c)), [0] * c
     buckets: Dict[int, int] = {}
     # planar iff c + closed == 2k + n/2
     target = n // 2 - c
@@ -496,9 +477,9 @@ def _extension_search(m1: Tuple[int, ...], m2: Tuple[int, ...]) -> Tuple[int, Di
         # v's root and path ends hold for every sibling: each child's
         # changes are undone before the next child is tried
         rv, sv = cycle[v], side[v]
-        while up_b[rv] != rv:
+        while up[rv] != rv:
             sv ^= flip[rv]
-            rv = up_b[rv]
+            rv = up[rv]
         a1, a2 = end1[v], end2[v]
         rest = higher = free ^ low
         while higher:
@@ -506,32 +487,34 @@ def _extension_search(m1: Tuple[int, ...], m2: Tuple[int, ...]) -> Tuple[int, Di
             higher ^= bit
             u = bit.bit_length() - 1
             ru, su = cycle[u], side[u]
-            while up_b[ru] != ru:
+            while up[ru] != ru:
                 su ^= flip[ru]
-                ru = up_b[ru]
-            if ru == rv:
-                if su == sv:
-                    continue  # odd cycle: nothing below is bipartite
-                child_b = -1
-            else:
-                child_b, root_b = (ru, rv) if size_b[ru] <= size_b[rv] else (rv, ru)
-                up_b[child_b] = root_b
-                size_b[root_b] += size_b[child_b]
-                flip[child_b] = su ^ sv ^ 1
+                ru = up[ru]
+            if ru != rv:
+                up[ru], flip[ru] = rv, su ^ sv ^ 1
+            elif su == sv:
+                continue  # odd cycle: nothing below is bipartite
             # join the two paths; when the edge closes a cycle instead
             # (a1 == u, b1 == v) the writes leave v and u as they were
             b1, b2 = end1[u], end2[u]
             end1[a1], end1[b1] = b1, a1
             end2[a2], end2[b2] = b2, a2
-            extend(rest ^ bit, k - (child_b >= 0), closed + (a1 == u) + (a2 == u))
+            extend(rest ^ bit, k - (ru != rv), closed + (a1 == u) + (a2 == u))
             end1[a1], end1[b1] = v, u
             end2[a2], end2[b2] = v, u
-            if child_b >= 0:
-                size_b[up_b[child_b]] -= size_b[child_b]
-                up_b[child_b] = child_b
+            up[ru] = ru  # rv is a root, so this also holds when ru == rv
 
     extend((1 << (n + 1)) - 2, c, 0)  # bits 1..n
-    return c, buckets
+    return c, dict(sorted(buckets.items()))
+
+
+def _extension_report(n: int, c: int, buckets: Dict[int, int]) -> ExtensionBoundReport:
+    """A report holding a copy of the search's counts, keys in their order."""
+    buckets = dict(buckets)
+    bounds = {k: 2 ** (5 * n) * n ** (c - k) for k in buckets}
+    violations = [k for k, cnt in buckets.items() if cnt > bounds[k]]
+    tried = math.prod(range(n - 1, 0, -2))
+    return ExtensionBoundReport(n, c, buckets, bounds, violations, tried, sum(buckets.values()))
 
 
 def harmonic_number(k: int) -> float:

@@ -300,7 +300,7 @@ def _run_census(args) -> int:
                 _fail(EX_USAGE, f"cannot write {path}: {e}")
 
     report = census_mod.enumerate_census(args.d, args.n, budget=args.budget, emit=emit)
-    print(f"tuples: {census_mod.tuple_count(args.d, args.n)}")
+    print(f"tuples: {report.counts['all']}")  # (n/2)!^(d+1): every tuple is in "all"
     print("class,canonical,labelled")
     for row in report.rows():
         print(row)

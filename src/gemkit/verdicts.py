@@ -238,24 +238,25 @@ def is_manifold(G: ColourfulGraph) -> TopologyVerdict:
 
     if not _property_P(G):
         return _no(_genus_witness(G))
-    # necessary identity on even-dimensional residues (see
-    # euler_poincare_check); |I| = 3 is property P.  One table serves every
-    # I: the subsets of all odd-size I number about 3^(d+1)/2.
-    kappa = kappa_table(G)
-    for m in range(5, G.d + 1, 2):
-        for I in itertools.combinations(G.colours, m):
-            lhs = sum(
-                (-1) ** r * kappa[J]
-                for r in range(m)
-                for J in itertools.combinations(I, r)
-            )
-            rhs = 2 * kappa[I]
-            if lhs != rhs:
-                return _no(
-                    f"component-count identity fails on I={I}: "
-                    f"alternating sum {lhs} != {rhs}"
-                )
     if G.d >= 5:
+        # necessary identity on even-dimensional residues (see
+        # euler_poincare_check); |I| = 3 is property P, and d = 4 has no
+        # odd |I| >= 5.  One table serves every I: the subsets of all
+        # odd-size I number about 3^(d+1)/2.
+        kappa = kappa_table(G)
+        for m in range(5, G.d + 1, 2):
+            for I in itertools.combinations(G.colours, m):
+                lhs = sum(
+                    (-1) ** r * kappa[J]
+                    for r in range(m)
+                    for J in itertools.combinations(I, r)
+                )
+                rhs = 2 * kappa[I]
+                if lhs != rhs:
+                    return _no(
+                        f"component-count identity fails on I={I}: "
+                        f"alternating sum {lhs} != {rhs}"
+                    )
         for I in itertools.combinations(range(1, G.d + 2), 5):
             part = residues(G, I)
             for comp in part.components:

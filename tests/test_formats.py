@@ -49,6 +49,22 @@ def test_parse_reports_line_and_token():
     assert exc.value.token == "four"
 
 
+@pytest.mark.parametrize(
+    "text,message,token",
+    [
+        ("cgf 3\n", "header needs 'cgf <d> <n>', got 2 tokens", None),
+        ("cgf 3 4 5\n", "header needs 'cgf <d> <n>', got 4 tokens", None),
+        ("cgf 0 4\n3 4\n", "d must be >= 1", "0"),
+    ],
+    ids=["short", "long", "d0"],
+)
+def test_parse_rejects_a_bad_header(text, message, token):
+    with pytest.raises(FormatError, match=message) as exc:
+        parse_cgf(text)
+    assert exc.value.line == 1
+    assert exc.value.token == token
+
+
 def test_parse_rejects_odd_n():
     with pytest.raises(FormatError):
         parse_cgf("cgf 1 3\n")

@@ -218,6 +218,24 @@ def _torus_on_colours_3_4_5():
     return ColourfulGraph(4, (ident, ident, ident, cyc, cyc2))
 
 
+def _suspension(G):
+    """D(G): two copies of G and a new colour joining each vertex to its
+    twin.  D's whites are copy 0's whites, then copy 1's blacks, and its
+    blacks copy 0's blacks, then copy 1's whites."""
+    h, n = G.half, G.n
+    twin = tuple(n + h + w for w in range(1, h + 1)) + tuple(n + b - h for b in range(h + 1, n + 1))
+    matchings = []
+    for m in G.matchings:
+        white_of = {b: w for w, b in enumerate(m, start=1)}
+        matchings.append(
+            tuple(n + b - h for b in m) + tuple(n + h + white_of[b] for b in range(h + 1, n + 1))
+        )
+    return ColourfulGraph(G.d + 1, matchings + [twin])
+
+
+# a copy of S^1 x S^2: is_sphere answers No with betti (1, 1, 1, 1)
+_S1_X_S2 = ColourfulGraph(3, ((5, 6, 7, 8), (5, 7, 8, 6), (6, 5, 8, 7), (8, 6, 5, 7)))
+
 _PLANAR_BASE = ConstructionParams(3, 1, (1,), (1,))
 
 
@@ -261,6 +279,20 @@ _PLANAR_BASE = ConstructionParams(3, 1, (1,), (1,))
             "residue I=(1, 2, 4, 5), component of vertex 1: reduction stuck "
             "and no homology obstruction found",
         ),
+        (
+            # Sigma(S^1 x S^2) is no 4-manifold, but d = 4 has no test
+            # that shows it
+            lambda: _suspension(_S1_X_S2),
+            Status.UNKNOWN,
+            "residue I=(1, 2, 3, 4), component of vertex 1: reduction stuck "
+            "and no homology obstruction found",
+        ),
+        (
+            # the residue on colours 1..5 is Sigma(S^1 x S^2), not a 4-sphere
+            lambda: _suspension(_suspension(_S1_X_S2)),
+            Status.NO,
+            "residue I=(1, 2, 3, 4, 5), component of vertex 1: betti (1, 0, 1, 1, 1)",
+        ),
     ],
     ids=[
         "yes",
@@ -269,6 +301,8 @@ _PLANAR_BASE = ConstructionParams(3, 1, (1,), (1,))
         "identity",
         "unknown",
         "unknown-names-the-first-stuck-component",
+        "unknown-suspension",
+        "five-residue",
     ],
 )
 def test_each_exit_of_the_manifold_verdict(build, status, certificate):
@@ -279,6 +313,12 @@ def test_each_exit_of_the_manifold_verdict(build, status, certificate):
     assert old.status is status
     if status is Status.NO:
         assert old.certificate == certificate
+
+
+def test_the_suspended_graph_is_a_closed_3_manifold_but_no_sphere():
+    v = is_sphere(_S1_X_S2)
+    assert (v.status, v.certificate) == (Status.NO, "betti (1, 1, 1, 1)")
+    assert is_manifold(_S1_X_S2).status is Status.YES
 
 
 def test_a_refutation_on_the_first_triple_cancels_nothing(monkeypatch):
