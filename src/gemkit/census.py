@@ -69,6 +69,10 @@ DEFAULT_BUDGET = 10**8
 # 2,027,025 at n=16 (about 330 MB as tuples)
 EXTENSION_MAX_N = 14
 
+# tuple_count builds (n/2)!^(d+1); one of 2^19 bits takes about 50 ms at
+# d = 3 or d = 100, and twice that at 2^20 bits
+TUPLE_COUNT_MAX_BITS = 1 << 19
+
 
 def _check_extension_n(n: int) -> None:
     _check_budget(n, EXTENSION_MAX_N,
@@ -76,8 +80,15 @@ def _check_extension_n(n: int) -> None:
 
 
 def tuple_count(d: int, n: int) -> int:
-    """Matching tuples over the canonical white set: (n/2)!^(d+1)."""
+    """Matching tuples over the canonical white set: (n/2)!^(d+1).
+
+    A count of more than TUPLE_COUNT_MAX_BITS bits raises BudgetExceeded;
+    its bit length is read from lgamma, not from the count.
+    """
     _check_size(d, n)
+    bits = math.floor((d + 1) * math.lgamma(n // 2 + 1) / math.log(2)) + 1
+    _check_budget(bits, TUPLE_COUNT_MAX_BITS,
+                  "(n/2)!^(d+1) for n={}, d={} has {count} bits, above the limit {limit}", n, d)
     return math.factorial(n // 2) ** (d + 1)
 
 
@@ -390,36 +401,69 @@ def verify_extension_bound(m1: Sequence[int], m2: Sequence[int]) -> ExtensionBou
 
     Every field depends on (m1, m2) only through the lengths of the
     alternating cycles of m1 u m2: relabelling [1..n] maps completions to
-    completions.  So this walks those cycles once, and _extension_counts
-    searches the completions once per cycle type per process, on a base
-    it lays out from the lengths alone; each call builds a fresh report
-    from them, with bucket keys in ascending k.  n is capped at
+    completions.  So one walk around those cycles both validates the two
+    matchings and finds the lengths; only when it meets a fault do the
+    per-matching checks run, m1 first, to name it.  _extension_counts
+    builds the whole report once per cycle type per process, searching on
+    a base it lays out from the lengths alone, and each call returns a
+    fresh copy of it, with bucket keys in ascending k.  n is capped at
     EXTENSION_MAX_N, which leaves 45 cycle types in all.
     """
     n = len(m1)
     _check_extension_n(n)
-    m1 = _check_involution(m1, n, "m1")
-    m2 = _check_involution(m2, n, "m2")
+    lengths = _cycle_lengths(m1, m2, n)
+    if lengths is None:
+        # the checks name the fault, m1 first; a pair they pass (m2 given
+        # as an iterator) is walked again as the tuples they return
+        m1 = _check_involution(m1, n, "m1")
+        lengths = _cycle_lengths(m1, _check_involution(m2, n, "m2"), n)
+    lengths.sort(reverse=True)
+    r = _extension_counts(tuple(lengths))
+    return ExtensionBoundReport(r.n, r.base_components, dict(r.buckets), dict(r.bounds),
+                                r.violations[:], r.extensions_tried, r.planar_extensions)
+
+
+def _cycle_lengths(m1: Sequence[int], m2: Sequence[int], n: int) -> Optional[List[int]]:
+    """Lengths of the alternating cycles of m1 u m2, or None unless both are
+    perfect matchings of [1..n] that the walk can read.
+
+    A step from v checks m1 at v and m2 at u = m1(v): the partner lies in
+    [1..n], is not the vertex and points back, so the check holds at the
+    partner too.  As checked partners point back, a walk meets a vertex it
+    saw before only at its start; so every vertex takes one of the two
+    places, and both matchings are checked whole.
+    """
     seen = [False] * (n + 1)
     lengths = []
-    for start in range(1, n + 1):
-        v, length = start, 0
-        while not seen[v]:
-            u = m1[v - 1]
-            seen[v] = seen[u] = True
-            length += 2
-            v = m2[u - 1]
-        if length:
+    try:
+        if len(m2) != n:
+            return None
+        for start in range(1, n + 1):
+            if seen[start]:
+                continue
+            v, length = start, 0
+            while not seen[v]:
+                u = m1[v - 1]
+                if not 0 < u <= n or u == v or m1[u - 1] != v:
+                    return None
+                w = m2[u - 1]
+                if not 0 < w <= n or w == u or m2[w - 1] != u:
+                    return None
+                seen[v] = seen[u] = True
+                length += 2
+                v = w
             lengths.append(length)
-    lengths.sort(reverse=True)
-    return _extension_report(n, *_extension_counts(tuple(lengths)))
+    except TypeError:  # no len, or a partner that is not an int
+        return None
+    return lengths
 
 
 @functools.lru_cache(maxsize=None)
-def _extension_counts(lengths: Tuple[int, ...]) -> Tuple[int, Dict[int, int]]:
-    """(c, planar completions by k, keys ascending) for a base whose
-    alternating cycles have the given lengths, longest first.  Callers
-    copy the dict.
+def _extension_counts(lengths: Tuple[int, ...]) -> ExtensionBoundReport:
+    """The extension report of a base whose alternating cycles have the
+    given lengths, longest first, with bucket keys ascending.  It is
+    shared by every call on that cycle type, so callers copy its dicts and
+    list before handing it out.
 
     The search lays the cycles on consecutive vertices in the order given:
     cycle i on first..last has the m1 edges {a, a+1} and the m2 edges
@@ -505,12 +549,7 @@ def _extension_counts(lengths: Tuple[int, ...]) -> Tuple[int, Dict[int, int]]:
             up[ru] = ru  # rv is a root, so this also holds when ru == rv
 
     extend((1 << (n + 1)) - 2, c, 0)  # bits 1..n
-    return c, dict(sorted(buckets.items()))
-
-
-def _extension_report(n: int, c: int, buckets: Dict[int, int]) -> ExtensionBoundReport:
-    """A report holding a copy of the search's counts, keys in their order."""
-    buckets = dict(buckets)
+    buckets = dict(sorted(buckets.items()))
     bounds = {k: 2 ** (5 * n) * n ** (c - k) for k in buckets}
     violations = [k for k, cnt in buckets.items() if cnt > bounds[k]]
     tried = math.prod(range(n - 1, 0, -2))

@@ -54,6 +54,14 @@ def test_tuple_count():
     for d, n, error in BAD_CENSUS_SIZES:
         with pytest.raises(error):
             tuple_count(d, n)
+    # a count of more than TUPLE_COUNT_MAX_BITS bits is refused unbuilt
+    assert tuple_count(3, 20000).bit_length() == 473833
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded) as exc:
+        tuple_count(1, 2**22)
+    assert time.perf_counter() - start < 1
+    assert str(exc.value) == (
+        "(n/2)!^(d+1) for n=4194304, d=1 has 82029307 bits, above the limit 524288")
 
 
 def test_classify_known_graphs():
@@ -452,8 +460,7 @@ N10_TYPES = [(10,), (8, 2), (6, 4), (6, 2, 2), (4, 4, 2), (4, 2, 2, 2), (2, 2, 2
 def _searched(m1, m2):
     """The extension search's report for the cycle type of m1 u m2,
     searched anew, bypassing the cache."""
-    counts = census._extension_counts.__wrapped__(_cycle_type(m1, m2))
-    return census._extension_report(len(m1), *counts)
+    return census._extension_counts.__wrapped__(_cycle_type(m1, m2))
 
 
 def test_extension_search_matches_the_oracle():
@@ -611,6 +618,57 @@ def test_extension_bound_input_checks():
     pairs = tuple(v + 1 if v % 2 else v - 1 for v in range(1, 17))
     with pytest.raises(BudgetExceeded, match="n=16 above the small-instance limit 14"):
         verify_extension_bound(pairs, pairs)
+
+
+_GOOD4 = (2, 1, 4, 3)
+
+# (m1, m2, the message): n is len(m1), and the message is the first fault
+# that checking m1 whole and then m2 whole names, wherever the cycle walk
+# meets a fault first
+MALFORMED_BASES = [
+    pytest.param((2, 1, 3), (2, 1, 3), "m1 is not a perfect matching at vertex 3",
+                 id="m1-odd-length"),
+    pytest.param((2, 1), _GOOD4, "m2 must list 2 partners, got 4", id="m1-shorter"),
+    pytest.param(_GOOD4, (2, 1), "m2 must list 4 partners, got 2", id="m2-shorter"),
+    pytest.param((), (2, 1), "m2 must list 0 partners, got 2", id="n0-m2-nonempty"),
+    pytest.param((0, 1, 4, 3), _GOOD4, "m1 is not a perfect matching at vertex 1",
+                 id="m1-partner-0"),
+    pytest.param((2, 1, 5, 3), _GOOD4, "m1 is not a perfect matching at vertex 3",
+                 id="m1-partner-n+1"),
+    pytest.param(_GOOD4, (2, 1, 4, 0), "m2 is not a perfect matching at vertex 3",
+                 id="m2-partner-0"),
+    pytest.param(_GOOD4, (5, 1, 4, 3), "m2 is not a perfect matching at vertex 1",
+                 id="m2-partner-n+1"),
+    pytest.param((1, 2, 4, 3), _GOOD4, "m1 is not a perfect matching at vertex 1",
+                 id="m1-fixed-point"),
+    pytest.param(_GOOD4, (2, 1, 3, 4), "m2 is not a perfect matching at vertex 3",
+                 id="m2-fixed-point"),
+    pytest.param((2, 3, 4, 1), _GOOD4, "m1 is not a perfect matching at vertex 1",
+                 id="m1-not-an-involution"),
+    # the walk from 1 meets this fault last, at vertex 6's m2 edge
+    pytest.param((2, 1, 4, 3, 6, 5), (5, 3, 2, 5, 4, 1),
+                 "m2 is not a perfect matching at vertex 1", id="m2-not-an-involution"),
+    # the walk from 1 meets m2's fault before m1's
+    pytest.param((2, 1, 4, 3, 6, 6), (0, 1, 4, 3, 6, 5),
+                 "m1 is not a perfect matching at vertex 5", id="both-bad"),
+]
+
+
+@pytest.mark.parametrize("m1,m2,message", MALFORMED_BASES)
+def test_a_malformed_base_raises_what_the_matching_checks_raise(m1, m2, message):
+    n = len(m1)
+    with pytest.raises(BadParams) as checked:
+        census._check_involution(m1, n, "m1")
+        census._check_involution(m2, n, "m2")
+    with pytest.raises(BadParams) as exc:
+        verify_extension_bound(m1, m2)
+    assert str(exc.value) == str(checked.value) == message
+
+
+def test_an_iterator_m2_passes_through_the_checks():
+    # the cycle walk needs len(m2); the checks take any iterable
+    assert verify_extension_bound([4, 3, 2, 1], iter(_GOOD4)) == verify_extension_bound(
+        (4, 3, 2, 1), _GOOD4)
 
 
 # ------------------------------------------------------- cycle statistics

@@ -2,11 +2,13 @@
 
 import math
 import random
+import time
 
 import pytest
 
 from gemkit import (
     BadParams,
+    BudgetExceeded,
     ColourfulGraph,
     ConstructionParams,
     NotAConstructionGraph,
@@ -192,3 +194,11 @@ def test_family_size_lower_bound():
     assert family_size_lower_bound(3, 2) == math.factorial(24)
     with pytest.raises(BadParams):
         family_size_lower_bound(2, 1)
+    # n = 4kd is held to FAMILY_SIZE_MAX_N before n! is built; the entry
+    # cap alone would let this shape build 1572864!
+    assert family_size_lower_bound(3, 2730) % math.factorial(32760) == 0
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded) as exc:
+        family_size_lower_bound(3, 2**17)
+    assert time.perf_counter() - start < 1
+    assert str(exc.value) == "n = 4kd = 1572864 above the limit 32768 for building n!"
