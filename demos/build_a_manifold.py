@@ -49,7 +49,7 @@ verdict = is_manifold(G)
 print(f"  manifold: {verdict.status.value}  [{verdict.certificate}]")
 
 print()
-print(f"distinct labelled manifolds of this size, at least:"
+print(f"labelled graphs of this glued shape, (admissible sigma)^2 * n!/4:"
       f" {family_size_lower_bound(d, k)}")
 
 # random members of the family are manifolds too

@@ -36,6 +36,7 @@ from fractions import Fraction
 from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .constructions import SeedLike, _check_family, _rng, build_manifold, random_construction_params
+from .dipoles import melonic_reduce
 from .errors import BadParams, InvariantViolated, RangeError
 from .graph import (
     GRAPH_ENTRIES_MAX,
@@ -46,13 +47,13 @@ from .graph import (
     _colour_sets,
     complex_vertex_count,
     count_cycles,
+    has_property_P,
     is_connected,
     residues,
 )
 from .verdicts import (
     Status,
-    _property_P,
-    _reduction,
+    _once,
     euler_poincare_check,
     is_manifold,
     is_sphere,
@@ -72,6 +73,12 @@ EXTENSION_MAX_N = 14
 # tuple_count builds (n/2)!^(d+1); one of 2^19 bits takes about 50 ms at
 # d = 3 or d = 100, and twice that at 2^20 bits
 TUPLE_COUNT_MAX_BITS = 1 << 19
+
+# harmonic_number sums k Fractions exactly: about 0.4 s at k = 2^14 and 1.8 s
+# at k = 50,000.  mean_cycles_uniform takes about 0.8 s at k = 100 with 10^4
+# samples, and 3 s at k = 2^20 with one
+HARMONIC_MAX_K = 1 << 14
+CYCLE_SAMPLES_MAX = 1 << 20
 
 
 def _check_extension_n(n: int) -> None:
@@ -96,11 +103,11 @@ def classify(G: ColourfulGraph) -> FrozenSet[str]:
     """Class names satisfied by G; sphere classes apply to connected graphs.
 
     Property P and the greedy reduction trace come from the verdicts'
-    per-graph record, which is_manifold and is_sphere read too, so each is
-    decided once.  "melonic" is the trace's reached_dipole.
+    per-graph record (_once), which is_manifold and is_sphere read too, so
+    each is decided once.  "melonic" is the trace's reached_dipole.
     """
     names = {"all"}
-    if _property_P(G):
+    if _once(G, has_property_P):
         names.add("propertyP")
     if is_manifold(G).status is Status.YES:
         names.add("manifold")
@@ -108,7 +115,7 @@ def classify(G: ColourfulGraph) -> FrozenSet[str]:
         verdict = is_sphere(G)
         if verdict.status is Status.YES:
             names.add("sphere_yes")
-            if _reduction(G).reached_dipole:
+            if _once(G, melonic_reduce).reached_dipole:
                 names.add("melonic")
         elif verdict.status is Status.UNKNOWN:
             names.add("sphere_unknown")
@@ -121,8 +128,12 @@ class CensusReport:
 
     d: int
     n: int
-    counts: Dict[str, int]
     by_components: Dict[str, Dict[int, int]]
+
+    @property
+    def counts(self) -> Dict[str, int]:
+        """Canonical count of each class: its by_components weights summed."""
+        return {cls: sum(self.by_components.get(cls, {}).values()) for cls in CLASSES}
 
     @property
     def labelled_counts(self) -> Dict[str, int]:
@@ -140,9 +151,9 @@ class CensusReport:
 
     def rows(self) -> List[str]:
         """Stable machine-readable rows: class,canonical,labelled."""
-        labelled = self.labelled_counts
+        counts, labelled = self.counts, self.labelled_counts
         return [
-            f"{cls},{self.counts.get(cls, 0)},{labelled[cls]}" for cls in CLASSES
+            f"{cls},{counts[cls]},{labelled[cls]}" for cls in CLASSES
         ]
 
 
@@ -184,19 +195,17 @@ def enumerate_census(
     """
     walk = _orbit_walk(d, n, budget)
     relabellings = list(itertools.permutations(range(n // 2))) if emit is not None else ()
-    counts: Dict[str, int] = {cls: 0 for cls in CLASSES}
     by_components: Dict[str, Dict[int, int]] = {cls: {} for cls in CLASSES}
     for weight, G in walk:
         names = classifier(G)
         comps = len(residues(G, G.colours).components)
         for cls in names:
-            counts[cls] += weight
             bc = by_components[cls]
             bc[comps] = bc.get(comps, 0) + weight
         for inv in relabellings:
             # white w is relabelled p(w) where inv lists p^-1
             emit(ColourfulGraph(d, [[m[i] for i in inv] for m in G.matchings]), names)
-    return CensusReport(d, n, counts, by_components)
+    return CensusReport(d, n, by_components)
 
 
 def all_perfect_matchings(n: int) -> List[Tuple[int, ...]]:
@@ -556,7 +565,15 @@ def _extension_counts(lengths: Tuple[int, ...]) -> ExtensionBoundReport:
     return ExtensionBoundReport(n, c, buckets, bounds, violations, tried, sum(buckets.values()))
 
 
+def _check_k(k: int) -> None:
+    if k < 0:
+        raise RangeError(f"k must be >= 0, got {k}")
+
+
 def harmonic_number(k: int) -> float:
+    """H_k = 1 + 1/2 + ... + 1/k, summed exactly; k above HARMONIC_MAX_K raises BudgetExceeded."""
+    _check_k(k)
+    _check_budget(k, HARMONIC_MAX_K, "k = {count} above the limit {limit} for the exact harmonic sum")
     return float(sum(Fraction(1, i) for i in range(1, k + 1)))
 
 
@@ -570,7 +587,15 @@ def compose_inverse(sigma: Sequence[int], tau: Sequence[int]) -> Tuple[int, ...]
 
 
 def mean_cycles_uniform(k: int, samples: int, seed: SeedLike = 0) -> float:
-    """Direct simulation: mean cycle count of sigma tau^(-1), both uniform."""
+    """Direct simulation: mean cycle count of sigma tau^(-1), both uniform.
+
+    k * samples above CYCLE_SAMPLES_MAX raises BudgetExceeded before any sample.
+    """
+    _check_k(k)
+    if samples < 1:
+        raise RangeError(f"samples must be >= 1, got {samples}")
+    _check_budget(k * samples, CYCLE_SAMPLES_MAX,
+                  "k * samples = {count} above the limit {limit} for the cycle simulation")
     rng = _rng(seed)
     base = list(range(1, k + 1))
     total = 0

@@ -248,11 +248,15 @@ def random_construction_params(d: int, k: int, seed: SeedLike = 0) -> Constructi
 
 
 def family_size_lower_bound(d: int, k: int) -> int:
-    """Labelled glued graphs of shape (d, k): at least (k!)^2 n!/4, n = 4kd.
+    """Labelled glued graphs of shape (d, k): s^2 n!/4, n = 4kd, s admissible sigma.
 
+    s counts the permutations ConstructionParams accepts: all k! for even d,
+    and for odd d the parity-preserving ones, ceil(k/2)! floor(k/2)!.
     n above FAMILY_SIZE_MAX_N raises BudgetExceeded before any factorial.
     """
     n = _check_family(d, k)
     _check_budget(n, FAMILY_SIZE_MAX_N,
                   "n = 4kd = {count} above the limit {limit} for building n!")
-    return math.factorial(k) ** 2 * math.factorial(n) // 4
+    f = math.factorial
+    s = f(k) if d % 2 == 0 else f(k - k // 2) * f(k // 2)
+    return s**2 * f(n) // 4

@@ -19,11 +19,12 @@ on every triple, the odd-size identities and the 5-residue Betti vectors.
 
 Each fact a verdict rests on is decided once per graph object: property P,
 the first genus witness, the greedy reduction trace and the Betti vector of
-the full complex.  They live in one private record kept on the graph and
-filled in the first time a verdict needs each, so ``classify``,
-``is_manifold`` and ``is_sphere`` share them on one graph, whatever order
-they run in.  Graphs are immutable, so a recorded fact never goes stale;
-equality, hashing and pickling ignore the record.
+the full complex.  The graph keeps a private record of decided values keyed
+by their deciding function; _once(G, decide) fills it the first time a
+verdict asks, so ``classify``, ``is_manifold`` and ``is_sphere`` share them
+on one graph, whatever order they run in.  Graphs are immutable, so a
+recorded fact never goes stale; equality, hashing and pickling ignore the
+record.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Optional, Tuple
+from typing import Callable, Iterable, Tuple, TypeVar
 
-from .dipoles import ReductionTrace, melonic_reduce, stuck_whites
+from .dipoles import melonic_reduce, stuck_whites
 from .errors import Disconnected, InvalidColourSet, InvariantViolated, OddDimension
 from .graph import (
     COLOUR_SUBSET_MAX,
@@ -61,6 +62,8 @@ class Status(Enum):
 
 
 _EXIT = {Status.YES: 0, Status.NO: 1, Status.UNKNOWN: 2}
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -95,55 +98,20 @@ def _unknown(reason: str) -> TopologyVerdict:
     return TopologyVerdict(Status.UNKNOWN, reason)
 
 
-@dataclass(slots=True)
-class _Facts:
-    """The facts decided so far about one graph; None until first asked."""
-
-    property_P: Optional[bool] = None
-    witness: Optional[str] = None
-    trace: Optional[ReductionTrace] = None
-    betti: Optional[BettiVector] = None
-
-
-def _facts(G: ColourfulGraph) -> _Facts:
-    """G's record, made on first use."""
+def _once(G: ColourfulGraph, decide: Callable[[ColourfulGraph], _T]) -> _T:
+    """decide(G), decided once per graph and kept in its record."""
     try:
-        return G._verdicts
+        record = G._verdicts
     except AttributeError:
-        facts = G._verdicts = _Facts()
-        return facts
+        record = G._verdicts = {}
+    if decide not in record:
+        record[decide] = decide(G)
+    return record[decide]
 
 
-def _property_P(G: ColourfulGraph) -> bool:
-    """has_property_P(G), decided once per graph."""
-    facts = _facts(G)
-    if facts.property_P is None:
-        facts.property_P = has_property_P(G)
-    return facts.property_P
-
-
-def _genus_witness(G: ColourfulGraph) -> str:
-    """_positive_genus_witness(G), built once per graph."""
-    facts = _facts(G)
-    if facts.witness is None:
-        facts.witness = _positive_genus_witness(G)
-    return facts.witness
-
-
-def _reduction(G: ColourfulGraph) -> ReductionTrace:
-    """melonic_reduce(G), run once per graph."""
-    facts = _facts(G)
-    if facts.trace is None:
-        facts.trace = melonic_reduce(G)
-    return facts.trace
-
-
-def _betti(G: ColourfulGraph) -> BettiVector:
-    """Betti vector of G's full complex, computed once per graph."""
-    facts = _facts(G)
-    if facts.betti is None:
-        facts.betti = betti_numbers(order_complex(G, G.colours))
-    return facts.betti
+def _full_betti(G: ColourfulGraph) -> BettiVector:
+    """Betti vector of G's full complex."""
+    return betti_numbers(order_complex(G, G.colours))
 
 
 def _positive_genus_witness(G: ColourfulGraph) -> str:
@@ -177,13 +145,13 @@ def is_sphere(G: ColourfulGraph) -> TopologyVerdict:
         if emb.genus == 0:
             return _yes("genus witness ((1,2,3), 1, 0)")
         return _no(f"genus witness ((1,2,3), 1, {emb.genus})")
-    trace = _reduction(G)
+    trace = _once(G, melonic_reduce)
     if trace.reached_dipole:
         moves = trace.moves_text() or "(already terminal)"
         return _yes(f"melonic trace {moves}")
-    if not _property_P(G):
-        return _no(_genus_witness(G))
-    b = _betti(G)
+    if not _once(G, has_property_P):
+        return _no(_once(G, _positive_genus_witness))
+    b = _once(G, _full_betti)
     if b.betti != sphere_vector(G.d):
         return _no(f"betti {b.betti}")
     return _unknown(
@@ -212,11 +180,11 @@ def is_manifold(G: ColourfulGraph) -> TopologyVerdict:
     if G.d <= 2:
         return _yes(f"every {G.d + 1}-colourful graph encodes a closed {G.d}-manifold")
     if G.d == 3:
-        if not _property_P(G):
-            return _no(_genus_witness(G))
+        if not _once(G, has_property_P):
+            return _no(_once(G, _positive_genus_witness))
         return _yes("every 3-residue component has genus 0")
     if not _planar_triple(G, (1, 2, 3)):
-        return _no(_genus_witness(G))
+        return _no(_once(G, _positive_genus_witness))
 
     _check_budget(G.d * (G.d + 1), COLOUR_SUBSET_MAX,
                   "the {}-residue sweep reads {count} matchings, above the limit {limit}", G.d)
@@ -236,8 +204,8 @@ def is_manifold(G: ColourfulGraph) -> TopologyVerdict:
         "stuck and no homology obstruction found"
     )
 
-    if not _property_P(G):
-        return _no(_genus_witness(G))
+    if not _once(G, has_property_P):
+        return _no(_once(G, _positive_genus_witness))
     if G.d >= 5:
         # necessary identity on even-dimensional residues (see
         # euler_poincare_check); |I| = 3 is property P, and d = 4 has no

@@ -29,16 +29,14 @@ def _tuples(d, n):
 
 
 def full_census(d, n, classifier=classify):
-    counts = {cls: 0 for cls in CLASSES}
     by_components = {cls: {} for cls in CLASSES}
     for tup in _tuples(d, n):
         G = ColourfulGraph(d, tup)
         comps = len(residues(G, G.colours).components)
         for cls in classifier(G):
-            counts[cls] += 1
             bc = by_components[cls]
             bc[comps] = bc.get(comps, 0) + 1
-    return CensusReport(d, n, counts, by_components)
+    return CensusReport(d, n, by_components)
 
 
 def full_lemma_bounds(d, n, check_5=False):

@@ -23,6 +23,7 @@ from gemkit import (
     enumerate_census,
     enumerate_labelled,
     harmonic_number,
+    homology,
     mean_cycles_uniform,
     random_graph,
     tuple_count,
@@ -110,6 +111,36 @@ def test_classify_reduces_at_most_once(monkeypatch, d, n):
     # alone decides the sphere and every graph is a manifold
     witnesses = [row["_positive_genus_witness"] for row in per_graph]
     assert max(witnesses) == (d >= 3 and report.counts["propertyP"] < report.counts["all"])
+
+
+@pytest.mark.parametrize("d, n", [(2, 6), (3, 6), (4, 4)])
+def test_classify_builds_the_full_complex_at_most_once(monkeypatch, d, n):
+    # the Betti vector of the full complex is the fourth fact in the
+    # per-graph record: classify builds G's own order complex at most once,
+    # and never for a melonic graph or one without property P
+    built = []
+
+    def counted(K, colours, original=verdicts.order_complex):
+        built.append(K)
+        return original(K, colours)
+
+    for module in (census, homology, verdicts):
+        if hasattr(module, "order_complex"):
+            monkeypatch.setattr(module, "order_complex", counted)
+    per_graph = []
+
+    def classifier(G):
+        start = len(built)
+        names = census.classify(G)
+        per_graph.append((names, sum(K is G for K in built[start:])))
+        return names
+
+    enumerate_census(d, n, classifier=classifier)
+    assert max(own for _, own in per_graph) <= 1
+    for names, own in per_graph:
+        if "melonic" in names or "propertyP" not in names:
+            assert own == 0, names
+    assert any(own for _, own in per_graph) == (d >= 3)
 
 
 def test_census_smallest_size():
@@ -689,6 +720,37 @@ def test_mean_cycles_uniform_is_seeded_and_accurate():
     assert a == mean_cycles_uniform(5, 2000, seed=3)
     est = mean_cycles_uniform(5, 20000, seed=0)
     assert abs(est - harmonic_number(5)) < 0.1
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: harmonic_number(10**7), "k = 10000000 above the limit 16384 for the exact harmonic sum"),
+        (lambda: harmonic_number(2**14 + 1), "k = 16385 above the limit 16384 for the exact harmonic sum"),
+        (lambda: mean_cycles_uniform(10**7, 1),
+         "k * samples = 10000000 above the limit 1048576 for the cycle simulation"),
+        (lambda: mean_cycles_uniform(10, 10**8),
+         "k * samples = 1000000000 above the limit 1048576 for the cycle simulation"),
+    ],
+)
+def test_the_stats_helpers_refuse_a_long_run_at_once(call, message):
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded) as exc:
+        call()
+    assert time.perf_counter() - start < 1
+    assert str(exc.value) == message
+
+
+def test_the_stats_helpers_reject_a_negative_k_and_no_samples():
+    for call in (lambda: harmonic_number(-1), lambda: mean_cycles_uniform(-1, 10)):
+        with pytest.raises(RangeError, match="k must be >= 0, got -1"):
+            call()
+    with pytest.raises(RangeError, match="samples must be >= 1, got 0"):
+        mean_cycles_uniform(3, 0)
+    assert harmonic_number(0) == mean_cycles_uniform(0, 1) == 0.0
+    # the limits admit stats-vn's largest row (k = 1182 at one sample)
+    assert mean_cycles_uniform(1182, 1, seed=0) >= 1
+    assert abs(harmonic_number(1182) - math.log(1182) - 0.5772) < 1e-3
 
 
 def test_vn_experiment_rows():

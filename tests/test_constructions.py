@@ -1,5 +1,6 @@
 """The glued double-path family and its planar extension."""
 
+import itertools
 import math
 import random
 import time
@@ -189,9 +190,24 @@ def test_random_params_are_valid_and_seeded():
     assert sorted(q.sigma) == list(range(1, 7))
 
 
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_family_size_counts_the_sigmas_the_family_accepts(d):
+    for k in range(1, 7):
+        accepted = 0
+        for sigma in itertools.permutations(range(1, k + 1)):
+            try:
+                ConstructionParams(d, k, sigma, tuple(range(1, k + 1)))
+            except BadParams:
+                continue
+            accepted += 1
+        n = 4 * d * k
+        assert family_size_lower_bound(d, k) * 4 == accepted**2 * math.factorial(n), (d, k)
+
+
 def test_family_size_lower_bound():
     assert family_size_lower_bound(3, 1) == math.factorial(12) // 4
-    assert family_size_lower_bound(3, 2) == math.factorial(24)
+    # odd d admits only parity-preserving sigma: one at k = 2, not 2!
+    assert family_size_lower_bound(3, 2) == math.factorial(24) // 4
     with pytest.raises(BadParams):
         family_size_lower_bound(2, 1)
     # n = 4kd is held to FAMILY_SIZE_MAX_N before n! is built; the entry
