@@ -42,6 +42,7 @@ from .graph import (
     GRAPH_ENTRIES_MAX,
     ColourfulGraph,
     _check_budget,
+    _check_permutation,
     _check_power_budget,
     _check_size,
     _colour_sets,
@@ -75,8 +76,8 @@ EXTENSION_MAX_N = 14
 TUPLE_COUNT_MAX_BITS = 1 << 19
 
 # harmonic_number sums k Fractions exactly: about 0.4 s at k = 2^14 and 1.8 s
-# at k = 50,000.  mean_cycles_uniform takes about 0.8 s at k = 100 with 10^4
-# samples, and 3 s at k = 2^20 with one
+# at k = 50,000.  mean_cycles_uniform takes about 1.1 s at k = 100 with 10^4
+# samples, and 4.4 s at k = 2^20 with one
 HARMONIC_MAX_K = 1 << 14
 CYCLE_SAMPLES_MAX = 1 << 20
 
@@ -570,16 +571,22 @@ def _check_k(k: int) -> None:
         raise RangeError(f"k must be >= 0, got {k}")
 
 
+def _check_harmonic_k(k: int) -> None:
+    _check_budget(k, HARMONIC_MAX_K, "k = {count} above the limit {limit} for the exact harmonic sum")
+
+
 def harmonic_number(k: int) -> float:
     """H_k = 1 + 1/2 + ... + 1/k, summed exactly; k above HARMONIC_MAX_K raises BudgetExceeded."""
     _check_k(k)
-    _check_budget(k, HARMONIC_MAX_K, "k = {count} above the limit {limit} for the exact harmonic sum")
+    _check_harmonic_k(k)
     return float(sum(Fraction(1, i) for i in range(1, k + 1)))
 
 
 def compose_inverse(sigma: Sequence[int], tau: Sequence[int]) -> Tuple[int, ...]:
-    """One-line form of sigma followed by tau^(-1)."""
+    """One-line form of sigma followed by tau^(-1); both must be permutations of [1..len(sigma)]."""
     k = len(sigma)
+    sigma = _check_permutation(sigma, k, "sigma")
+    tau = _check_permutation(tau, k, "tau")
     inv = [0] * k
     for i, t in enumerate(tau, start=1):
         inv[t - 1] = i
@@ -648,22 +655,28 @@ def vn_experiment(ks: Sequence[int], samples: int, seed: int = 0) -> StatsReport
     as d is odd), so the per-row cycle mean over those pairs is reported
     separately from the unrestricted-uniform simulation mean that tracks H_k.
     Before any is built, the largest graph and the run's samples * 24k
-    matching entries summed over k must each fit GRAPH_ENTRIES_MAX; a range
-    of ks is read by its ends and length, not listed.
+    matching entries summed over k must each fit GRAPH_ENTRIES_MAX, every k
+    must be >= 1 and the largest within HARMONIC_MAX_K, so no row refuses
+    after earlier rows were built.  k * samples then stays below
+    CYCLE_SAMPLES_MAX too, since it is at most the entries sum over 24.  A
+    range of ks is read by its ends and length, not listed.
     """
     if samples < 1:
         raise RangeError(f"samples must be >= 1, got {samples}")
     d = 3
     if isinstance(ks, range):
         # read arithmetically: stats-vn passes range(1, kmax + 1) for any kmax
-        largest = max(ks[0], ks[-1]) if ks else 1
-        total = len(ks) * (ks[0] + ks[-1]) // 2 if ks else 0
+        ends = (ks[0], ks[-1]) if ks else ()
+        total = len(ks) * sum(ends) // 2
     else:
-        largest, total = max(ks, default=1), sum(ks)
+        ends, total = ks, sum(ks)
+    smallest, largest = min(ends, default=1), max(ends, default=1)
     _check_family(d, largest)
     _check_budget(samples * (d + 1) * 2 * d * total, GRAPH_ENTRIES_MAX,
                   "samples * sum over k of (d+1)*n/2 = {count} matching entries, "
                   "above the limit {limit}")
+    _check_family(d, smallest)
+    _check_harmonic_k(largest)
     rng = _rng(seed)
     rows = []
     for k in ks:

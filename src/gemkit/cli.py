@@ -7,6 +7,10 @@ early (`gemkit kappa F | head -n 1`) the process ends quietly by SIGPIPE,
 like other Unix filters.  All randomness flows through --seed (default 0).
 Graph files use the CGF format; `-` reads the graph from stdin, so
 generator commands pipe straight into analysis commands.
+
+In process, ``gemkit.cli.run(argv)`` returns the exit code of every outcome,
+usage errors and ``--help`` included, and never raises SystemExit; only
+``main()`` exits the process.
 """
 
 from __future__ import annotations
@@ -49,14 +53,6 @@ def _fail(code: int, message: str) -> NoReturn:
     raise SystemExit(code)
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors, which collides with the Unknown
-    # verdict; remap to 64
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        _fail(EX_USAGE, f"{self.prog}: error: {message}")
-
-
 def _read_graph(path: str) -> ColourfulGraph:
     try:
         if path == "-":
@@ -89,14 +85,16 @@ def _parse_colours(text: str, G: ColourfulGraph) -> Tuple[int, ...]:
     return tuple(sorted(cols))
 
 
-def build_parser() -> _Parser:
-    p = _Parser(prog="gemkit", description=__doc__)
-    p.handlers = {}  # subcommand -> handler, filled where each is declared
+def build_parser() -> argparse.ArgumentParser:
+    # --help shows the docstring up to its last paragraph, which is for Python
+    # callers; __doc__ is None under -OO
+    p = argparse.ArgumentParser(prog="gemkit", description=(__doc__ or "").rsplit("\n\n", 1)[0])
     sub = p.add_subparsers(dest="command", required=True)
 
     def cmd(name: str, help_: str, handler) -> argparse.ArgumentParser:
-        p.handlers[name] = handler
-        return sub.add_parser(name, help=help_)
+        c = sub.add_parser(name, help=help_)
+        c.set_defaults(handler=handler)
+        return c
 
     c = cmd("validate", "parse a CGF file, report d, n, connectivity", _run_validate)
     c.add_argument("file")
@@ -257,8 +255,7 @@ def _run_gen(args) -> int:
         tau = _parse_ints(args.tau, "tau")
         params = ConstructionParams(args.d, args.k, sigma, tau)
     else:
-        print("gen needs either --sigma and --tau or --random-perms", file=sys.stderr)
-        return EX_USAGE
+        _fail(EX_USAGE, "gen needs either --sigma and --tau or --random-perms")
     G = build_manifold(params)
     comment = (
         f"glued double path d={params.d} k={params.k} "
@@ -309,8 +306,7 @@ def _run_census(args) -> int:
 
 def _run_verify_lemmas(args) -> int:
     if args.check_5 and args.d < 4:
-        print(f"--check-5 needs d >= 4 (five colours), got d={args.d}", file=sys.stderr)
-        return EX_USAGE
+        _fail(EX_USAGE, f"--check-5 needs d >= 4 (five colours), got d={args.d}")
     rep = census_mod.verify_lemma_bounds(
         args.d, args.n, budget=args.budget, check_5=args.check_5
     )
@@ -328,8 +324,7 @@ def _run_verify_lemmas(args) -> int:
 def _run_bound_check(args) -> int:
     G = _read_graph(args.cgf2)
     if G.d != 1:
-        print(f"--cgf2 file must have d=1 (two matchings), got d={G.d}", file=sys.stderr)
-        return EX_USAGE
+        _fail(EX_USAGE, f"--cgf2 file must have d=1 (two matchings), got d={G.d}")
     n = G.n
     m = [[0] * n for _ in range(2)]
     for c in (1, 2):
@@ -364,9 +359,13 @@ def _run_export_dot(args) -> int:
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return parser.handlers[args.command](args)
+        args = parser.parse_args(argv)
+        return args.handler(args)
+    except SystemExit as e:
+        # argparse exits 2 on usage errors, which collides with the Unknown
+        # verdict; remap to 64
+        return EX_USAGE if e.code == 2 else e.code
     except BudgetExceeded as e:
         print(f"budget: {e}", file=sys.stderr)
         return EX_USAGE

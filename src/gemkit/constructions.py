@@ -26,10 +26,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import BadParams, InvariantViolated, NotAConstructionGraph
-from .graph import ColourfulGraph, _check_budget, _check_size
+from .graph import ColourfulGraph, _check_budget, _check_permutation, _check_size
 
 SeedLike = Union[int, random.Random]
 
@@ -50,13 +50,6 @@ def _check_family(d: int, k: int) -> int:
         raise BadParams(f"k must be >= 1, got {k}")
     _check_size(d, 4 * k * d)
     return 4 * k * d
-
-
-def _check_permutation(p: Sequence[int], k: int, name: str) -> Tuple[int, ...]:
-    p = tuple(p)
-    if sorted(p) != list(range(1, k + 1)):
-        raise BadParams(f"{name} must be a permutation of [1..{k}], got {p}")
-    return p
 
 
 @dataclass(frozen=True)

@@ -156,8 +156,17 @@ class ColourfulGraph:
         return f"ColourfulGraph(d={self.d}, n={self.n})"
 
 
+def _check_permutation(p: Sequence[int], k: int, name: str) -> Tuple[int, ...]:
+    """p as a tuple; raises BadParams unless it is a permutation of [1..k] in image notation."""
+    p = tuple(p)
+    if sorted(p) != list(range(1, k + 1)):
+        raise BadParams(f"{name} must be a permutation of [1..{k}], got {p}")
+    return p
+
+
 def count_cycles(perm: Sequence[int]) -> int:
-    """Number of cycles of a permutation given as a 1-based image tuple."""
+    """Number of cycles of a permutation given as a 1-based image tuple; anything else raises BadParams."""
+    perm = _check_permutation(perm, len(perm), "perm")
     seen = [False] * len(perm)
     cycles = 0
     for start in range(len(perm)):

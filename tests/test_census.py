@@ -20,6 +20,7 @@ from gemkit import (
     census,
     classify,
     compose_inverse,
+    count_cycles,
     enumerate_census,
     enumerate_labelled,
     harmonic_number,
@@ -710,6 +711,23 @@ def test_compose_inverse():
     assert compose_inverse((3, 1, 2), (3, 1, 2)) == (1, 2, 3)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: compose_inverse((1, 2), (2, 2)), "tau must be a permutation of [1..2], got (2, 2)"),
+        (lambda: compose_inverse((3,), (1,)), "sigma must be a permutation of [1..1], got (3,)"),
+        (lambda: compose_inverse((1, 2), (1,)), "tau must be a permutation of [1..2], got (1,)"),
+        (lambda: count_cycles((0,)), "perm must be a permutation of [1..1], got (0,)"),
+        (lambda: count_cycles((5,)), "perm must be a permutation of [1..1], got (5,)"),
+    ],
+)
+def test_the_cycle_helpers_reject_what_is_not_a_permutation(call, message):
+    # without the check these returned a wrong answer or raised IndexError
+    with pytest.raises(BadParams) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_harmonic_number():
     assert harmonic_number(1) == 1.0
     assert abs(harmonic_number(4) - 25 / 12) < 1e-12
@@ -782,6 +800,19 @@ def test_vn_experiment_table_is_frozen():
 def test_vn_experiment_single_sample():
     (row,) = vn_experiment([4], samples=1, seed=2).rows
     assert row.mean_v == row.median_v == row.p90_v
+
+
+@pytest.mark.parametrize("ks, k", [([2, 50000], 50000), ([20000], 20000)])
+def test_vn_experiment_refuses_before_the_first_row(ks, k):
+    # the per-row harmonic refusal, made before any row is built; the
+    # per-row cycle refusal cannot fire, as k * samples is at most the
+    # run's matching entries over 24
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded) as exc:
+        vn_experiment(ks, 1)
+    assert time.perf_counter() - start < 0.1
+    assert str(exc.value) == f"k = {k} above the limit 16384 for the exact harmonic sum"
+    assert census.GRAPH_ENTRIES_MAX // 24 < census.CYCLE_SAMPLES_MAX
 
 
 @pytest.mark.parametrize("samples", [0, -3])

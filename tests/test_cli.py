@@ -2,6 +2,7 @@
 
 import importlib.metadata
 import os
+import re
 import shlex
 import shutil
 import signal
@@ -46,26 +47,20 @@ def test_validate(tetra_file, capsys):
 
 
 def test_validate_missing_file(capsys):
-    with pytest.raises(SystemExit) as exc:
-        run(["validate", "/nonexistent/g.cgf"])
-    assert exc.value.code == 65
+    assert run(["validate", "/nonexistent/g.cgf"]) == 65
 
 
 def test_validate_malformed_file(tmp_path, capsys):
     path = tmp_path / "bad.cgf"
     path.write_text("cgf 3 4\n3 4\n")
-    with pytest.raises(SystemExit) as exc:
-        run(["validate", str(path)])
-    assert exc.value.code == 65
+    assert run(["validate", str(path)]) == 65
     assert "matching lines" in capsys.readouterr().err
 
 
 def test_validate_binary_file(tmp_path, capsys):
     path = tmp_path / "image.cgf"
     path.write_bytes(b"\x89PNG\r\n\x1a\n\x00\xff\xfe\xc3\x28")
-    with pytest.raises(SystemExit) as exc:
-        run(["validate", str(path)])
-    assert exc.value.code == 65
+    assert run(["validate", str(path)]) == 65
     assert str(path) in capsys.readouterr().err
 
 
@@ -84,15 +79,68 @@ def test_validate_undecodable_stdin():
 
 
 def test_no_arguments_is_a_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        run([])
-    assert exc.value.code == 64
+    assert run([]) == 64
 
 
 def test_unknown_subcommand(capsys):
-    with pytest.raises(SystemExit) as exc:
-        run(["frobnicate"])
-    assert exc.value.code == 64
+    assert run(["frobnicate"]) == 64
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        ([], 64),
+        (["frobnicate"], 64),
+        (["residues", "{tetra}"], 64),
+        (["--help"], 0),
+        (["validate", "{missing}"], 65),
+        (["validate", "{malformed}"], 65),
+        (["validate", "{binary}"], 65),
+        (["residues", "{tetra}", "--colours", "1,9"], 64),
+        (["gen", "--d", "3", "--k", "2", "--sigma", "x", "--tau", "1,2"], 64),
+        (["gen", "--d", "3", "--k", "2"], 64),
+        (["verify-lemmas", "--d", "3", "--n", "4", "--check-5"], 64),
+        (["bound-check", "--cgf2", "{tetra}"], 64),
+        (["census", "--d", "3", "--n", "2", "--emit-graphs", "{taken}"], 64),
+        (["random", "--d", "3", "--n", "2000000000"], 64),
+    ],
+    ids=["no-arguments", "unknown-subcommand", "missing-required", "help", "missing-file",
+         "malformed-cgf", "binary-cgf", "bad-colours", "bad-sigma", "gen-no-perms",
+         "check-5-below-d4", "bound-check-d3", "unwritable-emit", "budget"],
+)
+def test_run_returns_every_exit_code_and_never_raises_system_exit(tmp_path, capsys, argv, code):
+    # in-process callers read one int; only main() ends the process
+    files = {
+        "tetra": tmp_path / "tetra.cgf",
+        "missing": tmp_path / "missing.cgf",
+        "malformed": tmp_path / "bad.cgf",
+        "binary": tmp_path / "image.cgf",
+        "taken": tmp_path / "taken",
+    }
+    files["tetra"].write_text(write_cgf(two_tetrahedra_graph()))
+    files["malformed"].write_text("cgf 3 4\n3 4\n")
+    files["binary"].write_bytes(b"\x89PNG\r\n\x1a\n\x00\xff\xfe\xc3\x28")
+    files["taken"].write_text("")
+    try:
+        got = run([a.format(**files) for a in argv])
+    except SystemExit as e:
+        pytest.fail(f"run raised SystemExit({e.code!r})")
+    assert type(got) is int and got == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert out.startswith("usage: gemkit") and err == ""
+    else:
+        assert out == "" and err
+
+
+def test_readme_cli_table_names_exactly_the_parsers_subcommands(capsys):
+    assert run(["--help"]) == 0
+    choices = re.search(r"\{([\w,-]+)\}", capsys.readouterr().out).group(1).split(",")
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("\n## CLI\n\n", 1)[1].split("\n\n", 1)[0].splitlines()
+    assert table[0] == "| subcommand | what it does |"
+    rows = [line.split("`")[1].split()[0] for line in table[2:]]
+    assert sorted(rows) == sorted(choices)
 
 
 def test_residues(tetra_file, capsys):
@@ -103,9 +151,7 @@ def test_residues(tetra_file, capsys):
 
 
 def test_residues_rejects_bad_colours(tetra_file, capsys):
-    with pytest.raises(SystemExit) as exc:
-        run(["residues", tetra_file, "--colours", "1,9"])
-    assert exc.value.code == 64
+    assert run(["residues", tetra_file, "--colours", "1,9"]) == 64
 
 
 # every colour subset, by size and then by bitmask within a size (so 1,4
@@ -270,13 +316,7 @@ def test_gen_rejects_invalid_pairing(capsys):
     ],
 )
 def test_gen_rejects_a_sigma_that_is_not_a_permutation(capsys, sigma, err):
-    argv = ["gen", "--d", "3", "--k", "2", "--sigma", sigma, "--tau", "1,2"]
-    if sigma == "x":
-        with pytest.raises(SystemExit) as exc:
-            run(argv)
-        assert exc.value.code == 64
-    else:
-        assert run(argv) == 64
+    assert run(["gen", "--d", "3", "--k", "2", "--sigma", sigma, "--tau", "1,2"]) == 64
     assert capsys.readouterr() == ("", err)
 
 
@@ -436,9 +476,7 @@ def test_census_emit_graphs_reports_an_unwritable_path(tmp_path, capsys):
     blocked = tmp_path / "blocked"
     (blocked / first.name).mkdir(parents=True)
     for target, path in ((taken, taken), (blocked, blocked / first.name)):
-        with pytest.raises(SystemExit) as exc:
-            run(["census", "--d", "3", "--n", "2", "--emit-graphs", str(target)])
-        assert exc.value.code == 64
+        assert run(["census", "--d", "3", "--n", "2", "--emit-graphs", str(target)]) == 64
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"cannot write {path}: ")
