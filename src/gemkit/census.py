@@ -46,6 +46,7 @@ from .graph import (
     _check_power_budget,
     _check_size,
     _colour_sets,
+    _planar_triple,
     complex_vertex_count,
     count_cycles,
     has_property_P,
@@ -55,7 +56,6 @@ from .graph import (
 from .verdicts import (
     Status,
     _once,
-    euler_poincare_check,
     is_manifold,
     is_sphere,
     lemma1_witness,
@@ -76,8 +76,8 @@ EXTENSION_MAX_N = 14
 TUPLE_COUNT_MAX_BITS = 1 << 19
 
 # harmonic_number sums k Fractions exactly: about 0.4 s at k = 2^14 and 1.8 s
-# at k = 50,000.  mean_cycles_uniform takes about 1.1 s at k = 100 with 10^4
-# samples, and 4.4 s at k = 2^20 with one
+# at k = 50,000.  mean_cycles_uniform takes about 0.9 s at k = 100 with 10^4
+# samples, and 3.4 s at k = 2^20 with one
 HARMONIC_MAX_K = 1 << 14
 CYCLE_SAMPLES_MAX = 1 << 20
 
@@ -333,10 +333,12 @@ def verify_lemma_bounds(
 
     For every canonical graph and every 3-subset I whose residue components
     all have genus 0 (decided by the embedding route), the minimized
-    kappa(i,j) - kappa(I) must be at most n/6.  The alternating identity
-    kappa^(2) = 2 kappa^(3) + n/2 is evaluated by the independent counting
-    route and must hold exactly on the same (G, I); mismatches in either
-    direction are counted.  check_5 runs the 5-subset bound when d >= 4.
+    kappa(i,j) - kappa(I) must be at most n/6.  The counting identity
+    kappa^(2) = 2 kappa^(3) + n/2, tested by property P's own per-triple
+    check (graph._planar_triple; for |I| = 3 it is euler_poincare_check's
+    alternating sum), must hold exactly on the same (G, I); mismatches in
+    either direction are counted.  check_5 runs the 5-subset bound when
+    d >= 4.
     Triples and 5-sets are listed once, before the walk; more than
     COLOUR_SUBSET_MAX of either (d >= 37, d >= 17) raise BudgetExceeded.
 
@@ -352,7 +354,7 @@ def verify_lemma_bounds(
         report.graphs += weight
         for I in triples:
             w = lemma1_witness(G, I)
-            if euler_poincare_check(G, I) != w.hypothesis_met:
+            if _planar_triple(G, I) != w.hypothesis_met:
                 report.identity_mismatches += weight
             if not w.hypothesis_met:
                 continue

@@ -109,7 +109,7 @@ class ColourfulGraph:
                 raise NotABijection(
                     f"matching for colour {idx + 1} has length {len(t)}, expected {half}"
                 )
-            if sorted(t) != list(blacks):
+            if not _lists_each_once(t, blacks):
                 raise NotABijection(
                     f"matching for colour {idx + 1} is not a bijection onto "
                     f"[{half + 1}..{2 * half}]"
@@ -156,10 +156,23 @@ class ColourfulGraph:
         return f"ColourfulGraph(d={self.d}, n={self.n})"
 
 
+def _lists_each_once(t: Tuple, values: range) -> bool:
+    """True iff t lists each of values exactly once and nothing else.
+
+    A set comparison: entries that do not compare with ints, or are not
+    hashable, make it False rather than raise TypeError.
+    """
+    try:
+        seen = set(t)
+    except TypeError:  # an unhashable entry
+        return False
+    return len(t) == len(seen) == len(values) and seen.issuperset(values)
+
+
 def _check_permutation(p: Sequence[int], k: int, name: str) -> Tuple[int, ...]:
     """p as a tuple; raises BadParams unless it is a permutation of [1..k] in image notation."""
     p = tuple(p)
-    if sorted(p) != list(range(1, k + 1)):
+    if not _lists_each_once(p, range(1, k + 1)):
         raise BadParams(f"{name} must be a permutation of [1..{k}], got {p}")
     return p
 

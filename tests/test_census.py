@@ -23,6 +23,7 @@ from gemkit import (
     count_cycles,
     enumerate_census,
     enumerate_labelled,
+    graph,
     harmonic_number,
     homology,
     mean_cycles_uniform,
@@ -209,6 +210,43 @@ def test_census_d2_n6_frozen_counts():
     assert report.counts["sphere_yes"] == report.counts["melonic"] == 144
 
 
+def _rooted_counts(d, h):
+    """Closed-form rooted counts (canonical / (h!(h-1)!)) of graphs with 2h vertices.
+
+    melonic: the Fuss-Catalan number FC_{d+1}(h) = C((d+1)h+1, h)/((d+1)h+1),
+    counting (d+1)-ary trees (Bonzom-Gurau-Riello-Rivasseau 2011).  At d = 2,
+    sphere_yes: Tutte's rooted bicubic planar maps, 3*2^(h-1)(2h)!/(h!(h+2)!)
+    (Tutte, "A census of planar maps", 1963).
+    """
+    m = d + 1
+    counts = {"melonic": math.comb(m * h + 1, h) // (m * h + 1)}
+    if d == 2:
+        f = math.factorial
+        counts["sphere_yes"] = 3 * 2 ** (h - 1) * f(2 * h) // (f(h) * f(h + 2))
+    return counts
+
+
+def test_closed_forms_give_the_known_numbers():
+    assert [_rooted_counts(2, h)["melonic"] for h in (2, 3, 4)] == [3, 12, 55]
+    assert [_rooted_counts(3, h)["melonic"] for h in (2, 3, 4)] == [4, 22, 140]
+    assert _rooted_counts(4, 3)["melonic"] == 35
+    assert [_rooted_counts(2, h)["sphere_yes"] for h in range(1, 6)] == [1, 3, 12, 56, 288]
+
+
+@pytest.mark.parametrize(
+    "d, n", [(2, 4), (2, 6), (2, 8), (3, 4), (3, 6), (4, 4), (4, 6), (5, 4), (6, 4)]
+)
+def test_census_rows_match_closed_forms(d, n):
+    # oracles that share no code with the census, the residues or the dipoles
+    report = enumerate_census(d, n)
+    h = n // 2
+    rooted = _rooted_counts(d, h)
+    roots = math.factorial(h) * math.factorial(h - 1)
+    for cls, count in rooted.items():
+        assert report.counts[cls] == roots * count, cls
+    assert report.labelled_counts["melonic"] == math.factorial(n - 1) * rooted["melonic"]
+
+
 def test_census_rows_are_stable():
     rows = enumerate_census(3, 2).rows()
     assert rows[0] == "all,1,1"
@@ -354,6 +392,29 @@ def test_lemma_bounds_exhaustive_n4():
     assert report.violations_3 == 0
     assert report.identity_mismatches == 0
     assert report.min_slack_3 == Fraction(2, 3)
+
+
+def test_lemma_bounds_frozen_at_d4_n6():
+    # the audit workload's heaviest sweep
+    report = verify_lemma_bounds(4, 6)
+    assert (report.graphs, report.checked_3, report.violations_3) == (7776, 73440, 0)
+    assert report.min_slack_3 == 1
+    assert report.identity_mismatches == 0
+    G, I = report.extremal_3
+    assert I == (1, 2, 3)
+    assert G.d == 4 and G.matchings == ((4, 5, 6),) * 5
+    assert (report.checked_5, report.min_slack_5, report.extremal_5) == (0, None, None)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_the_sweeps_triple_check_is_the_alternating_identity(d):
+    # verify_lemma_bounds tests the identity with property P's own check;
+    # for |I| = 3 the alternating sum n - 3n/2 + kappa_2 = 2 kappa says the same
+    for n in (2, 4, 6, 8, 12, 20):
+        for seed in range(6):
+            G = random_graph(d, n, seed=seed)
+            for I in itertools.combinations(range(1, d + 2), 3):
+                assert graph._planar_triple(G, I) == verdicts.euler_poincare_check(G, I)
 
 
 def test_lemma_bounds_respects_budget():
@@ -719,10 +780,19 @@ def test_compose_inverse():
         (lambda: compose_inverse((1, 2), (1,)), "tau must be a permutation of [1..2], got (1,)"),
         (lambda: count_cycles((0,)), "perm must be a permutation of [1..1], got (0,)"),
         (lambda: count_cycles((5,)), "perm must be a permutation of [1..1], got (5,)"),
+        # entries a sort could not order, hashable or not
+        (lambda: count_cycles(("a", 1)), "perm must be a permutation of [1..2], got ('a', 1)"),
+        (lambda: count_cycles((None, 1)), "perm must be a permutation of [1..2], got (None, 1)"),
+        (lambda: count_cycles(([1], 2)), "perm must be a permutation of [1..2], got ([1], 2)"),
+        (lambda: compose_inverse((1, 2), ("x", 1)), "tau must be a permutation of [1..2], got ('x', 1)"),
+        (lambda: compose_inverse(([2], 1), (1, 2)), "sigma must be a permutation of [1..2], got ([2], 1)"),
+        # every value of [1..2], once too often
+        (lambda: compose_inverse((1, 2), (1, 2, 2)), "tau must be a permutation of [1..2], got (1, 2, 2)"),
     ],
 )
 def test_the_cycle_helpers_reject_what_is_not_a_permutation(call, message):
-    # without the check these returned a wrong answer or raised IndexError
+    # without the check these returned a wrong answer or raised IndexError,
+    # and entries that do not compare with ints raised TypeError
     with pytest.raises(BadParams) as exc:
         call()
     assert str(exc.value) == message

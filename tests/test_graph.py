@@ -90,6 +90,17 @@ def test_rejects_non_bijections():
         ColourfulGraph(1, [(1, 2), (3, 4)])
 
 
+@pytest.mark.parametrize(
+    "matching",
+    # entries a sort could not order, and unhashable ones
+    [("a", 2), (3, None), ([3], 4), ([3], [4]), ({3}, 4)],
+)
+def test_rejects_entries_that_are_not_black_vertices(matching):
+    with pytest.raises(NotABijection) as exc:
+        ColourfulGraph(1, [matching, (3, 4)])
+    assert str(exc.value) == "matching for colour 1 is not a bijection onto [3..4]"
+
+
 def test_vertex_accessors_on_torus():
     G = torus_graph()
     assert G.n == 6 and G.half == 3
