@@ -46,9 +46,9 @@ from .graph import (
     _check_power_budget,
     _check_size,
     _colour_sets,
+    _count_cycles,
     _planar_triple,
     complex_vertex_count,
-    count_cycles,
     has_property_P,
     is_connected,
     residues,
@@ -588,11 +588,15 @@ def compose_inverse(sigma: Sequence[int], tau: Sequence[int]) -> Tuple[int, ...]
     """One-line form of sigma followed by tau^(-1); both must be permutations of [1..len(sigma)]."""
     k = len(sigma)
     sigma = _check_permutation(sigma, k, "sigma")
-    tau = _check_permutation(tau, k, "tau")
-    inv = [0] * k
+    return _compose_inverse(sigma, _check_permutation(tau, k, "tau"))
+
+
+def _compose_inverse(sigma: Sequence[int], tau: Sequence[int]) -> Tuple[int, ...]:
+    """compose_inverse without the checks, for callers whose sigma and tau already passed them."""
+    inv = [0] * (len(tau) + 1)
     for i, t in enumerate(tau, start=1):
-        inv[t - 1] = i
-    return tuple(inv[s - 1] for s in sigma)
+        inv[t] = i
+    return tuple(map(inv.__getitem__, sigma))
 
 
 def mean_cycles_uniform(k: int, samples: int, seed: SeedLike = 0) -> float:
@@ -613,7 +617,7 @@ def mean_cycles_uniform(k: int, samples: int, seed: SeedLike = 0) -> float:
         tau = base[:]
         rng.shuffle(sigma)
         rng.shuffle(tau)
-        total += count_cycles(compose_inverse(sigma, tau))
+        total += _count_cycles(_compose_inverse(sigma, tau))
     return total / samples
 
 
@@ -688,9 +692,7 @@ def vn_experiment(ks: Sequence[int], samples: int, seed: int = 0) -> StatsReport
             params = random_construction_params(d, k, rng)
             G = build_manifold(params)
             vs.append(complex_vertex_count(G))
-            cycles_valid.append(
-                count_cycles(compose_inverse(params.sigma, params.tau))
-            )
+            cycles_valid.append(_count_cycles(_compose_inverse(params.sigma, params.tau)))
         n = 4 * d * k
         mean_v = statistics.fmean(vs)
         # inclusive = linear interpolation between order statistics;

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
@@ -159,12 +160,13 @@ class ColourfulGraph:
 def _lists_each_once(t: Tuple, values: range) -> bool:
     """True iff t lists each of values exactly once and nothing else.
 
-    A set comparison: entries that do not compare with ints, or are not
-    hashable, make it False rather than raise TypeError.
+    A set comparison of t's entries read as integers (operator.index): an
+    entry that is no integer, such as 3.0, "a" or None, makes it False
+    rather than raise TypeError later as a list index.
     """
     try:
-        seen = set(t)
-    except TypeError:  # an unhashable entry
+        seen = set(map(operator.index, t))
+    except TypeError:
         return False
     return len(t) == len(seen) == len(values) and seen.issuperset(values)
 
@@ -179,7 +181,11 @@ def _check_permutation(p: Sequence[int], k: int, name: str) -> Tuple[int, ...]:
 
 def count_cycles(perm: Sequence[int]) -> int:
     """Number of cycles of a permutation given as a 1-based image tuple; anything else raises BadParams."""
-    perm = _check_permutation(perm, len(perm), "perm")
+    return _count_cycles(_check_permutation(perm, len(perm), "perm"))
+
+
+def _count_cycles(perm: Sequence[int]) -> int:
+    """count_cycles without the check, for callers whose perm is already a permutation."""
     seen = [False] * len(perm)
     cycles = 0
     for start in range(len(perm)):

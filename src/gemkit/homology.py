@@ -11,13 +11,24 @@ simplicial homology equals that of the space encoded by G_I (Hatcher,
 Algebraic Topology, §2.1), and it needs one cell per residue, where the
 barycentric subdivision needs about n * |I|! top simplices.
 
-Betti numbers are computed from boundary-matrix ranks by exact column
-reduction over the rationals: each column is reduced against the earlier
-columns until no earlier column owns its lowest row.  A +-1 pivot keeps
-the arithmetic integral; reduced columns can grow larger entries, and
-such a pivot is divided out with Fraction.  No float or modular
-arithmetic is involved.  The shape of every boundary matrix and
-boundary^2 = 0 are checked on every call.
+Betti numbers come from boundary-matrix ranks, b_k = f_k - rank d_k -
+rank d_(k+1), and the ranks are first taken over GF(2): each column is a
+Python int with one bit per row whose entries have an odd sum, reduced by
+XOR.  A mod-2 sphere vector is returned as it is, because it is then the
+rational one too.  By universal coefficients (Hatcher, Algebraic
+Topology, §3.A) b_k(GF(2)) = b_k(Q) + t_k + t_(k-1), where t_k counts the
+cyclic summands of even order in H_k(K; Z).  So no b_k(Q) exceeds
+b_k(GF(2)), while b_0 and the Euler characteristic agree over both
+fields: a mod-2 sphere vector leaves b_k(Q) = 0 for 0 < k < dim, and the
+Euler characteristic then fixes b_dim.  Any other mod-2 vector may hide
+2-torsion, and a matrix with a non-integer entry has no mod-2 reduction;
+then the ranks are recomputed by exact column reduction over the
+rationals: each column is reduced against the earlier columns until no
+earlier column owns its lowest row.  A +-1 pivot keeps the arithmetic
+integral; reduced columns can grow larger entries, and such a pivot is
+divided out with Fraction.  Every returned vector is therefore the
+rational one, and no float is involved.  The shape of every boundary
+matrix and boundary^2 = 0 are checked once per call, before either pass.
 """
 
 from __future__ import annotations
@@ -25,7 +36,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .errors import InvalidColourSet, InvariantViolated, RangeError
 from .graph import ColourfulGraph, _check_colours, _check_subset_budget, residues
@@ -112,12 +123,23 @@ def sphere_vector(dim: int) -> Tuple[int, ...]:
 
 
 def betti_numbers(K: OrderComplex) -> BettiVector:
-    """Betti numbers of K from exact ranks of its boundary matrices."""
+    """Rational Betti numbers of K: ranks mod 2 first, exact rational ranks
+    unless those give the sphere vector (see the module docstring)."""
     _check_boundaries(K)
-    dims = K.f_counts()
-    ranks = [0] + [_sparse_rank(K.boundary(k)) for k in range(1, K.dim + 1)] + [0]
-    b = tuple(dims[k] - ranks[k] - ranks[k + 1] for k in range(K.dim + 1))
+    try:
+        b = _betti(K, _gf2_rank)
+    except TypeError:  # a non-integer entry has no parity
+        b = None
+    if b != sphere_vector(K.dim):
+        b = _betti(K, _sparse_rank)
     return BettiVector(b)
+
+
+def _betti(K: OrderComplex, rank: Callable[[Sequence[Column]], int]) -> Tuple[int, ...]:
+    """b_k = f_k - rank boundary(k) - rank boundary(k+1), each rank taken by rank()."""
+    dims = K.f_counts()
+    ranks = [0] + [rank(K.boundary(k)) for k in range(1, K.dim + 1)] + [0]
+    return tuple(dims[k] - ranks[k] - ranks[k + 1] for k in range(K.dim + 1))
 
 
 def _check_boundaries(K: OrderComplex) -> None:
@@ -167,4 +189,27 @@ def _sparse_rank(columns: Sequence[Column]) -> int:
                     v[r] = new
                 else:
                     del v[r]
+    return len(owner)
+
+
+def _gf2_rank(columns: Sequence[Column]) -> int:
+    """Rank over GF(2) of a sparse integer matrix given by columns.
+
+    Each column becomes a Python int with bit r set when the entries in row
+    r have an odd sum; a column is reduced by XOR against the earlier
+    column that owns its highest bit until it owns one itself or vanishes.
+    """
+    owner: Dict[int, int] = {}
+    for col in columns:
+        v = 0
+        for r, x in col:
+            if x & 1:
+                v ^= 1 << r
+        while v:
+            top = v.bit_length()
+            pivot = owner.get(top)
+            if pivot is None:
+                owner[top] = v
+                break
+            v ^= pivot
     return len(owner)

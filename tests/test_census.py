@@ -788,6 +788,8 @@ def test_compose_inverse():
         (lambda: compose_inverse(([2], 1), (1, 2)), "sigma must be a permutation of [1..2], got ([2], 1)"),
         # every value of [1..2], once too often
         (lambda: compose_inverse((1, 2), (1, 2, 2)), "tau must be a permutation of [1..2], got (1, 2, 2)"),
+        # a float equal to an image is no list index
+        (lambda: count_cycles((2.0, 1)), "perm must be a permutation of [1..2], got (2.0, 1)"),
     ],
 )
 def test_the_cycle_helpers_reject_what_is_not_a_permutation(call, message):
@@ -839,6 +841,17 @@ def test_the_stats_helpers_reject_a_negative_k_and_no_samples():
     # the limits admit stats-vn's largest row (k = 1182 at one sample)
     assert mean_cycles_uniform(1182, 1, seed=0) >= 1
     assert abs(harmonic_number(1182) - math.log(1182) - 0.5772) < 1e-3
+
+
+def test_the_cycle_simulation_keeps_its_seeded_values():
+    # the simulation's unchecked core gives the values the checked calls gave
+    seeded = ((1, 0), (2, 1), (7, 2), (12, 3), (50, 4))
+    assert [mean_cycles_uniform(k, 400, seed=s) for k, s in seeded] == [
+        1.0, 1.485, 2.53, 3.055, 4.485]
+    assert mean_cycles_uniform(30, 100, seed=random.Random(5)) == 3.81
+    rows = vn_experiment([2, 3], samples=7, seed=9).rows
+    assert [(r.mean_cycles_valid, r.mean_cycles_uniform) for r in rows] == [
+        (2.0, 10 / 7), (17 / 7, 2.0)]
 
 
 def test_vn_experiment_rows():

@@ -92,8 +92,8 @@ def test_rejects_non_bijections():
 
 @pytest.mark.parametrize(
     "matching",
-    # entries a sort could not order, and unhashable ones
-    [("a", 2), (3, None), ([3], 4), ([3], [4]), ({3}, 4)],
+    # entries a sort could not order, unhashable ones, and a float equal to a vertex
+    [("a", 2), (3, None), ([3], 4), ([3], [4]), ({3}, 4), (3.0, 4)],
 )
 def test_rejects_entries_that_are_not_black_vertices(matching):
     with pytest.raises(NotABijection) as exc:

@@ -1,6 +1,7 @@
 """Coloured Δ-complexes and exact Betti numbers."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,17 +10,24 @@ from hypothesis import strategies as st
 
 from gemkit import (
     BettiVector,
+    ColourfulGraph,
     InvalidColourSet,
     InvariantViolated,
     OrderComplex,
     RangeError,
+    Status,
     betti_numbers,
+    classify,
+    enumerate_census,
     f_vector,
+    is_manifold,
+    is_sphere,
     order_complex,
+    random_graph,
     residues,
     sphere_vector,
 )
-from gemkit.homology import _sparse_rank
+from gemkit.homology import _betti, _gf2_rank, _sparse_rank
 from barycentric import barycentric_complex
 from conftest import (
     circle_graph,
@@ -234,3 +242,104 @@ def integer_matrices(draw):
 def test_rank_matches_dense_elimination_off_unit_pivots(matrix):
     columns, n_rows = matrix
     assert _sparse_rank(columns) == _dense_rank(columns, n_rows)
+
+
+def _dense_rank_mod2(columns, n_rows):
+    """Rank over GF(2) by Gaussian elimination on a dense 0/1 matrix; entries in one row add."""
+    rows = [[0] * len(columns) for _ in range(n_rows)]
+    for c, col in enumerate(columns):
+        for r, x in col:
+            rows[r][c] = (rows[r][c] + x) % 2
+    rank = 0
+    for c in range(len(columns)):
+        pivot = next((r for r in range(rank, n_rows) if rows[r][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, n_rows):
+            if rows[r][c]:
+                rows[r] = [a ^ b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_gf2_rank_matches_dense_elimination_mod_2(seed):
+    # sparse integer columns: even coefficients (+-2, +-4) must vanish, a row
+    # may repeat within a column (its entries add, so 1 and -1 cancel) and
+    # a column may be empty
+    rng = random.Random(seed)
+    for _ in range(300):
+        n_rows = rng.randint(1, 12)
+        columns = [
+            [(rng.randrange(n_rows), rng.choice((1, -1, 2, -2, 3, -3, 4, -4, 5)))
+             for _ in range(rng.randint(0, 5))]
+            for _ in range(rng.randint(0, 12))
+        ]
+        assert _gf2_rank(columns) == _dense_rank_mod2(columns, n_rows), columns
+
+
+def test_gf2_rank_edge_cases():
+    assert _gf2_rank([]) == 0
+    assert _gf2_rank([[], [(0, 2)], [(1, -4)]]) == 0
+    assert _gf2_rank([[(0, 1), (0, -1)], [(1, 1), (1, 1), (1, 1)]]) == 1
+    # over the rationals these columns are independent, mod 2 they agree
+    assert _gf2_rank([[(0, 1), (1, 1)], [(0, 1), (1, 3)]]) == 1
+    assert _sparse_rank([[(0, 1), (1, 1)], [(0, 1), (1, 3)]]) == 2
+
+
+def _census_complexes():
+    graphs = []
+
+    def keep(G):
+        graphs.append(G)
+        return classify(G)
+
+    enumerate_census(3, 6, classifier=keep)
+    return [order_complex(G, G.colours) for G in graphs]
+
+
+def _random_complexes():
+    # seed 56 at (4, 8) has 2-torsion: mod 2 (1, 0, 1, 1, 1), rationally (1, 0, 0, 0, 1)
+    shapes = [(3, 8), (3, 10), (3, 12), (4, 6), (4, 8), (4, 10), (5, 6), (5, 8)]
+    graphs = [random_graph(d, n, seed=seed) for d, n in shapes for seed in range(8)]
+    graphs.append(random_graph(4, 8, seed=56))
+    return [order_complex(G, G.colours) for G in graphs]
+
+
+@pytest.mark.parametrize("complexes", [_census_complexes, _random_complexes])
+def test_universal_coefficients_bound_the_mod_2_betti_numbers(complexes):
+    # b_k(GF(2)) = b_k(Q) + t_k + t_(k-1) (Hatcher §3.A): never below the
+    # rational number, equal in degree 0 and with the same Euler
+    # characteristic; betti_numbers returns the rational vector exactly
+    Ks = complexes()
+    assert len(Ks) >= 64
+    for K in Ks:
+        mod2, rational = _betti(K, _gf2_rank), _betti(K, _sparse_rank)
+        assert all(m >= q for m, q in zip(mod2, rational))
+        assert mod2[0] == rational[0]
+        chi = K.euler_characteristic()
+        assert sum((-1) ** k * b for k, b in enumerate(mod2)) == chi
+        assert sum((-1) ** k * b for k, b in enumerate(rational)) == chi
+        assert betti_numbers(K).betti == rational
+
+
+def test_two_torsion_falls_back_to_the_rational_betti_vector():
+    # one of the n = 8 graphs whose H_1 has a Z/2 summand: mod 2 it looks
+    # like (1, 1, 1, 1), over the rationals like a 3-sphere
+    G = ColourfulGraph(3, [(5, 6, 7, 8), (6, 5, 8, 7), (7, 8, 5, 6), (8, 7, 6, 5)])
+    K = order_complex(G, G.colours)
+    assert _betti(K, _gf2_rank) == (1, 1, 1, 1)
+    assert betti_numbers(K).betti == (1, 0, 0, 1)
+    v = is_sphere(G)
+    assert v.status is Status.UNKNOWN
+    assert v.certificate == (
+        "greedy reduction stuck at n=8; homology matches a sphere (betti (1, 0, 0, 1))"
+    )
+    assert is_manifold(G).status is Status.YES
+
+
+def test_betti_numbers_of_non_integer_entries_are_rational():
+    # an entry without parity skips the mod-2 pass instead of raising
+    K = OrderComplex((2, 1), [[[(0, Fraction(1, 2)), (1, Fraction(-1, 2))]]])
+    assert betti_numbers(K).betti == (1, 0)
