@@ -17,9 +17,11 @@ cells of that triangulation.
 A colour set is any iterable of colours in [1..d+1]; every function here
 reads it as the sorted tuple of its distinct colours, and tuples are what
 the functions return (``ColourfulGraph.colours``, the keys of
-``kappa_table``).  ``residues`` computes each partition once per graph and
-colour set and keeps it on the graph under the set's bitmask (bit c-1 for
-colour c); that key is private to this module.
+``kappa_table``).  Each partition is computed once per graph and colour set
+and kept on the graph under the set's bitmask (bit c-1 for colour c).
+``residues`` checks a colour set and reads its partition; library code that
+has checked its colours once reads further partitions by bitmask through
+``_partition``, the memo's one writer.
 """
 
 from __future__ import annotations
@@ -119,7 +121,7 @@ class ColourfulGraph:
         self.d = d
         self.half = half
         self.matchings = tuple(frozen)
-        # colour bitmask -> ResiduePartition, written only by residues()
+        # colour bitmask -> ResiduePartition, written only by _partition()
         self._residues: Dict[int, "ResiduePartition"] = {}
 
     @property
@@ -136,7 +138,8 @@ class ColourfulGraph:
         return self.matchings[colour - 1][w - 1]
 
     def cycles_of_pair(self, i: int, j: int) -> int:
-        """Number of bicoloured {i,j}-cycles, read from the residue engine (residues)."""
+        """Number of bicoloured {i,j}-cycles: the components of the {i,j}-residue,
+        read through residues, which checks i and j."""
         return len(residues(self, (i, j)))
 
     def __eq__(self, other) -> bool:
@@ -236,6 +239,18 @@ def _check_colours(G: ColourfulGraph, I: Iterable[int]) -> Tuple[int, ...]:
     return _colours_of(_colour_bits(G, I))
 
 
+def _colour_masks(G: ColourfulGraph, I: Iterable[int]) -> Tuple[int, ...]:
+    """One bitmask per distinct colour of I, in ascending colour order; raises
+    InvalidColourSet.  A union of them is the bitmask of those colours."""
+    bits = _colour_bits(G, I)
+    masks = []
+    while bits:
+        low = bits & -bits
+        masks.append(low)
+        bits ^= low
+    return tuple(masks)
+
+
 def _check_subset_budget(colour_count: int) -> None:
     """Raise BudgetExceeded if the subsets of colour_count colours exceed the cap."""
     _check_power_budget((2,), colour_count, COLOUR_SUBSET_MAX,
@@ -251,38 +266,68 @@ def residues(G: ColourfulGraph, I: Iterable[int]) -> ResiduePartition:
     same object.
     """
     bits = _colour_bits(G, I)
+    # the memo read is inlined so that a hit costs no further call
     part = G._residues.get(bits)
-    if part is None:
-        # union-find with path halving; the smaller root wins, so every
-        # root is its component's minimum and parent[v] <= v throughout
-        parent = list(range(G.n + 1))
-        for c in _colours_of(bits):
-            for w, b in enumerate(G.matchings[c - 1], start=1):
-                while parent[w] != w:
-                    parent[w] = w = parent[parent[w]]
-                while parent[b] != b:
-                    parent[b] = b = parent[parent[b]]
-                if w < b:
-                    parent[b] = w
-                elif b < w:
-                    parent[w] = b
-        # ascending pass: a non-root v has parent[v] < v, already re-pointed
-        # at its root, so each component opens at its minimum and fills in
-        # ascending order
-        comps: List[List[int]] = []
-        component_of: Dict[int, int] = {}
-        for v in range(1, G.n + 1):
-            root = parent[v] = parent[parent[v]]
-            if root == v:
-                component_of[v] = len(comps)
-                comps.append([v])
-            else:
-                idx = component_of[v] = component_of[root]
-                comps[idx].append(v)
-        components = tuple(map(tuple, comps))
-        part = ResiduePartition(components, MappingProxyType(component_of))
-        G._residues[bits] = part
+    return _partition(G, bits) if part is None else part
+
+
+def _partition(G: ColourfulGraph, bits: int) -> ResiduePartition:
+    """residues(G, I) for I given by its bitmask, which the caller has validated;
+    the one writer of G._residues."""
+    part = G._residues.get(bits)
+    if part is not None:
+        return part
+    if bits & (bits - 1):
+        components, component_of = _union_find(G, bits)
+    else:
+        # no colour: n singletons; one colour: each white, the minimum of
+        # its component, with its partner, read as an int (a matching keeps
+        # the integer type it was given)
+        index = range(G.half if bits else G.n)
+        firsts = range(1, len(index) + 1)
+        component_of = dict(zip(firsts, index))
+        if bits:
+            m = tuple(map(operator.index, G.matchings[bits.bit_length() - 1]))
+            component_of.update(zip(m, index))
+            components = tuple(zip(firsts, m))
+        else:
+            components = tuple(zip(firsts))
+    part = ResiduePartition(components, MappingProxyType(component_of))
+    G._residues[bits] = part
     return part
+
+
+def _union_find(
+    G: ColourfulGraph, bits: int
+) -> Tuple[Tuple[Tuple[int, ...], ...], Dict[int, int]]:
+    """Components of G on the colours of bits, and each vertex's component index."""
+    # union-find with path halving; the smaller root wins, so every
+    # root is its component's minimum and parent[v] <= v throughout
+    parent = list(range(G.n + 1))
+    for c in _colours_of(bits):
+        for w, b in enumerate(G.matchings[c - 1], start=1):
+            while parent[w] != w:
+                parent[w] = w = parent[parent[w]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if w < b:
+                parent[b] = w
+            elif b < w:
+                parent[w] = b
+    # ascending pass: a non-root v has parent[v] < v, already re-pointed
+    # at its root, so each component opens at its minimum and fills in
+    # ascending order
+    comps: List[List[int]] = []
+    component_of: Dict[int, int] = {}
+    for v in range(1, G.n + 1):
+        root = parent[v] = parent[parent[v]]
+        if root == v:
+            component_of[v] = len(comps)
+            comps.append([v])
+        else:
+            idx = component_of[v] = component_of[root]
+            comps[idx].append(v)
+    return tuple(map(tuple, comps)), component_of
 
 
 def _check_component(

@@ -39,7 +39,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .errors import InvalidColourSet, InvariantViolated, RangeError
-from .graph import ColourfulGraph, _check_colours, _check_subset_budget, residues
+from .graph import ColourfulGraph, _check_subset_budget, _colour_masks, _partition
 
 # A sparse column: list of (row index, +-1 incidence sign).
 Column = List[Tuple[int, int]]
@@ -70,27 +70,36 @@ class OrderComplex:
 
 
 def order_complex(G: ColourfulGraph, I: Iterable[int]) -> OrderComplex:
-    """Coloured Δ-complex of the space encoded by G_I, one cell per residue."""
-    colours = _check_colours(G, I)
-    if len(colours) < 1:
+    """Coloured Δ-complex of the space encoded by G_I, one cell per residue.
+
+    I is checked once.  The colour subsets S of I are then walked as
+    bitmasks, by size and in lexicographic order of their colours within a
+    size; the cells of S are the components of the partition on I \\ S,
+    read by its mask, and each face of S is looked up by the mask of S
+    without one colour.
+    """
+    masks = _colour_masks(G, I)
+    if len(masks) < 1:
         raise InvalidColourSet("order complex needs at least one colour")
-    _check_subset_budget(len(colours))
-    # for each colour subset S: the index of its first cell among the cells
-    # of dimension |S| - 1, and the component index of each vertex in the
-    # residue on I \ S
-    cells: Dict[Tuple[int, ...], Tuple[int, Mapping[int, int]]] = {}
+    _check_subset_budget(len(masks))
+    full = sum(masks)
+    # for each colour subset S, by mask: the index of its first cell among
+    # the cells of dimension |S| - 1, and the component index of each vertex
+    # in the residue on I \ S
+    cells: Dict[int, Tuple[int, Mapping[int, int]]] = {}
     f_counts: List[int] = []
     boundaries: List[List[Column]] = []
-    for r in range(1, len(colours) + 1):
+    for r in range(1, len(masks) + 1):
         count = 0
         cols: List[Column] = []
-        for S in itertools.combinations(colours, r):
-            part = residues(G, [c for c in colours if c not in S])
+        for sub in itertools.combinations(masks, r):
+            S = sum(sub)
+            part = _partition(G, full & ~S)
             cells[S] = (count, part.component_of)
             count += len(part)
             if r == 1:
                 continue
-            faces = [(*cells[S[:p] + S[p + 1:]], (-1) ** p) for p in range(r)]
+            faces = [(*cells[S & ~bit], (-1) ** p) for p, bit in enumerate(sub)]
             for comp in part.components:
                 cols.append([(off + index[comp[0]], sign) for off, index, sign in faces])
         f_counts.append(count)
@@ -144,28 +153,34 @@ def _betti(K: OrderComplex, rank: Callable[[Sequence[Column]], int]) -> Tuple[in
 
 def _check_boundaries(K: OrderComplex) -> None:
     """boundary(k) has one column per k-cell, each with rows among the
-    (k-1)-cells, and boundary-of-boundary vanishes identically."""
+    (k-1)-cells, and boundary-of-boundary vanishes identically.
+
+    One pass per column: each row's range is tested just before that row's
+    column of boundary(k-1) is added into the column's boundary^2, so no
+    row outside the matrix is read; the first failing column raises.
+    """
     f = K.f_counts()
     for k in range(1, K.dim + 1):
         cols = K.boundary(k)
         if len(cols) != f[k]:
             raise InvariantViolated(f"boundary({k}) has {len(cols)} columns, f_{k} = {f[k]}")
+        rows = f[k - 1]
         lower = K.boundary(k - 1) if k > 1 else None
         for j, col in enumerate(cols):
-            if any(not 0 <= face < f[k - 1] for face, _ in col):
-                raise InvariantViolated(f"row out of range in boundary({k}) column {j}")
-            if lower is None:
-                continue
             acc: Dict[int, int] = {}
             for face, sign in col:
-                for face2, sign2 in lower[face]:
-                    acc[face2] = acc.get(face2, 0) + sign * sign2
+                if not 0 <= face < rows:
+                    raise InvariantViolated(f"row out of range in boundary({k}) column {j}")
+                if lower is not None:
+                    for face2, sign2 in lower[face]:
+                        acc[face2] = acc.get(face2, 0) + sign * sign2
             if any(acc.values()):
                 raise InvariantViolated(f"boundary^2 != 0 on {k}-cell {j}")
 
 
 def _sparse_rank(columns: Sequence[Column]) -> int:
-    """Exact rank of a sparse integer matrix given by columns.
+    """Exact rank of a sparse integer matrix given by columns, in which the
+    entries of one row in a column add up, as in _gf2_rank.
 
     Column reduction: while an earlier reduced column owns the lowest
     (largest) row of the current column, subtract the multiple of it that
@@ -174,7 +189,10 @@ def _sparse_rank(columns: Sequence[Column]) -> int:
     """
     owner: Dict[int, Dict[int, object]] = {}
     for col in columns:
-        v: Dict[int, object] = dict(col)
+        v: Dict[int, object] = {}
+        for r, x in col:
+            v[r] = v.get(r, 0) + x
+        v = {r: x for r, x in v.items() if x}
         while v:
             low = max(v)
             pivot = owner.get(low)

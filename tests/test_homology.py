@@ -27,6 +27,8 @@ from gemkit import (
     residues,
     sphere_vector,
 )
+import gemkit.graph as graph_mod
+import gemkit.homology as homology_mod
 from gemkit.homology import _betti, _gf2_rank, _sparse_rank
 from barycentric import barycentric_complex
 from conftest import (
@@ -136,20 +138,60 @@ def test_broken_boundary_is_rejected():
         betti_numbers(broken)
 
 
+# above boundary(1), one loop tests each row's range and then reads that
+# row's column of the boundary below, which a row of -1 would read silently
+# as the last column; a loop edge has boundary 0, so boundary^2 = 0 holds
+_LOOP = [[(0, 1), (0, -1)]]
+_EDGE = [[(0, -1), (1, 1)]]
+
+
 @pytest.mark.parametrize(
-    "f_counts, boundaries",
+    "f_counts, boundaries, message",
     [
         # a row index past the single vertex
-        ((1, 2), [[[(0, 1)], [(1, 1)]]]),
+        ((1, 2), [[[(0, 1)], [(1, 1)]]], r"boundary\(1\)"),
         # two edges but one boundary column
-        ((2, 2), [[[(0, -1), (1, 1)]]]),
+        ((2, 2), [[[(0, -1), (1, 1)]]], r"boundary\(1\)"),
         # a negative row index
-        ((2, 1), [[[(-1, 1)]]]),
+        ((2, 1), [[[(-1, 1)]]], r"boundary\(1\)"),
+        # a negative row index, then a row index past the single edge
+        ((1, 1, 2), [_LOOP, [[(0, 1)], [(-1, 1)]]], r"^row out of range in boundary\(2\) column 1$"),
+        ((1, 1, 2), [_LOOP, [[(0, 1)], [(1, 1)]]], r"^row out of range in boundary\(2\) column 1$"),
+        # the first failing column decides the message
+        ((2, 1, 2), [_EDGE, [[(0, 1)], [(1, 1)]]], r"^boundary\^2 != 0 on 2-cell 0$"),
     ],
 )
-def test_malformed_boundary_is_rejected(f_counts, boundaries):
-    with pytest.raises(InvariantViolated, match=r"boundary\(1\)"):
+def test_malformed_boundary_is_rejected(f_counts, boundaries, message):
+    with pytest.raises(InvariantViolated, match=message):
         betti_numbers(OrderComplex(f_counts, boundaries))
+
+
+def test_order_complex_checks_its_colours_once(monkeypatch):
+    # the colour subsets are then walked as bitmasks, with no colour list
+    # rebuilt and checked again per subset
+    G = two_tetrahedra_graph()
+    calls = []
+    colour_bits = graph_mod._colour_bits
+
+    def counted(H, I):
+        calls.append(I)
+        return colour_bits(H, I)
+
+    for module in (graph_mod, homology_mod):
+        if getattr(module, "_colour_bits", None) is colour_bits:
+            monkeypatch.setattr(module, "_colour_bits", counted)
+    K = order_complex(G, G.colours)
+    monkeypatch.undo()
+    assert calls == [G.colours]
+    assert betti_numbers(K).betti == sphere_vector(3)
+
+
+def test_a_census_graph_that_reaches_the_betti_vector_holds_one_partition_per_subset():
+    # classify reads property P's pairs and triples, connectivity and then
+    # the complement of every nonempty subset: 2^(d+1) partitions in all
+    G = ColourfulGraph(3, [(4, 5, 6), (4, 5, 6), (4, 6, 5), (5, 6, 4)])
+    assert "sphere_unknown" in classify(G)
+    assert sorted(G._residues) == list(range(1 << (G.d + 1)))
 
 
 @pytest.mark.parametrize(
@@ -267,7 +309,7 @@ def _dense_rank_mod2(columns, n_rows):
 def test_gf2_rank_matches_dense_elimination_mod_2(seed):
     # sparse integer columns: even coefficients (+-2, +-4) must vanish, a row
     # may repeat within a column (its entries add, so 1 and -1 cancel) and
-    # a column may be empty
+    # a column may be empty; the rational rank adds repeated rows too
     rng = random.Random(seed)
     for _ in range(300):
         n_rows = rng.randint(1, 12)
@@ -277,6 +319,7 @@ def test_gf2_rank_matches_dense_elimination_mod_2(seed):
             for _ in range(rng.randint(0, 12))
         ]
         assert _gf2_rank(columns) == _dense_rank_mod2(columns, n_rows), columns
+        assert _sparse_rank(columns) == _dense_rank(columns, n_rows), columns
 
 
 def test_gf2_rank_edge_cases():
@@ -322,6 +365,16 @@ def test_universal_coefficients_bound_the_mod_2_betti_numbers(complexes):
         assert sum((-1) ** k * b for k, b in enumerate(mod2)) == chi
         assert sum((-1) ** k * b for k, b in enumerate(rational)) == chi
         assert betti_numbers(K).betti == rational
+
+
+def test_sparse_rank_adds_the_entries_of_a_row():
+    # a column with row 0 twice, +1 and -1, is the zero column
+    assert _sparse_rank([[(0, 1), (0, -1)]]) == 0
+    assert _sparse_rank([[(0, 1), (0, 1)]]) == 1
+    # a wedge of two circles, each a loop at the one vertex; mod 2 it is
+    # no 1-sphere, so the rational ranks decide
+    wedge = OrderComplex((1, 2), [[[(0, 1), (0, -1)], [(0, 1), (0, -1)]]])
+    assert betti_numbers(wedge).betti == (1, 2)
 
 
 def test_two_torsion_falls_back_to_the_rational_betti_vector():

@@ -349,14 +349,20 @@ def test_the_identity_loop_reads_each_colour_subset_once(monkeypatch):
     d = 10
     G = ColourfulGraph(d, [(3, 4)] * ((d + 1) // 2) + [(4, 3)] * ((d + 2) // 2))
     calls = []
+    reads = {name: getattr(graph_mod, name) for name in ("residues", "_partition")}
 
-    def counted(H, I):
-        if H is G:
-            calls.append(I)
-        return residues(H, I)
+    def counting(read):
+        def counted(H, colours):
+            if H is G:
+                calls.append(colours)
+            return read(H, colours)
+        return counted
 
-    for module in (graph_mod, homology_mod, verdicts_mod):
-        monkeypatch.setattr(module, "residues", counted)
+    # every partition read, memo hits included: library code reads through
+    # residues, and order_complex by mask through _partition
+    for module, name in [(graph_mod, "residues"), (verdicts_mod, "residues"),
+                         (homology_mod, "_partition")]:
+        monkeypatch.setattr(module, name, counting(reads[name]))
     v = is_manifold(G)
     monkeypatch.undo()
     assert len(calls) < 1 << (d + 2)
