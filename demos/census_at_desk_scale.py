@@ -1,27 +1,25 @@
 """Exhaustive census of 4-colour graphs on four vertices.
 
-Two independent enumerators cover the same ground.  The fast one walks
-canonical matching tuples and converts each count to a labelled count with
-the orbit formula; the slow one enumerates labelled bipartite graphs
-directly.  Their answers must coincide class by class.
+The census walks canonical matching tuples and converts each count to a
+labelled count with the orbit formula.  The test suite cross-checks that
+labelled column against a walk over every labelled tuple of perfect
+matchings (tests/census_oracle.py, run by test_04_census_cross_validation
+in tests/test_acceptance.py).
 """
 
-from gemkit import CLASSES, enumerate_census, enumerate_labelled, tuple_count
+from gemkit import CLASSES, enumerate_census
 
 d, n = 3, 4
 
-fast = enumerate_census(d, n)
-slow = enumerate_labelled(d, n)
+report = enumerate_census(d, n)
 
-print(f"matching tuples at d={d}, n={n}: {tuple_count(d, n)}")
-print()
-labelled = fast.labelled_counts
-print(f"{'class':<15}{'canonical':>10}{'labelled':>10}{'oracle':>10}")
+labelled = report.labelled_counts
+print(f"{'class':<15}{'canonical':>10}{'labelled':>10}")
 for cls in CLASSES:
-    agree = "ok" if labelled[cls] == slow.counts[cls] else "MISMATCH"
-    print(f"{cls:<15}{fast.counts[cls]:>10}{labelled[cls]:>10}"
-          f"{slow.counts[cls]:>10}  {agree}")
+    print(f"{cls:<15}{report.counts[cls]:>10}{labelled[cls]:>10}")
 
 print()
-print(f"labelled universe: {slow.bipartite_tuples} bipartite tuples"
-      f" out of {slow.total_tuples} matching tuples")
+print("canonical count by number of components:")
+for cls in CLASSES:
+    split = ", ".join(f"{c}: {k}" for c, k in sorted(report.by_components[cls].items()))
+    print(f"{cls:<15}{split}")

@@ -1,19 +1,18 @@
 """Exhaustive small-n censuses, counting-bound checks, and sampling statistics.
 
-Two enumeration routes exist on purpose.  The fast route walks matching
-tuples over the canonical white set 1..n/2 and converts class counts to
-labelled counts on [1..n] by the orbit formula
+The census walks matching tuples over the canonical white set 1..n/2
+and converts class counts to labelled counts on [1..n] by the orbit
+formula
 
     labelled(class) = C(n, n/2) * sum over canonical G in class of 2^(-c(G))
 
 where c(G) is the number of connected components: a labelled graph with c
 components admits 2^c (white-set, matching-tuple) presentations, spread
-over C(n, n/2) white-set choices.  The slow route enumerates genuinely
-labelled tuples of perfect matchings of [1..n] with no symmetry reasoning
-at all and tallies them directly; it is the ground truth the fast route
-must reproduce.  Disagreement between the two is the primary bug detector.
+over C(n, n/2) white-set choices.  The test suite's labelled walk
+(tests/census_oracle.py) tallies genuinely labelled tuples of perfect
+matchings of [1..n] with no symmetry reasoning at all, and must agree.
 
-The fast route visits one tuple per white-relabelling orbit.  Relabelling
+The walk visits one tuple per white-relabelling orbit.  Relabelling
 the white vertices by a permutation p sends (m_1, ..., m_{d+1}) to
 (m_1 o p^-1, ..., m_{d+1} o p^-1), an isomorphic graph, so every class,
 component count and bound slack is constant on an orbit.  The action is
@@ -71,10 +70,6 @@ DEFAULT_BUDGET = 10**8
 # 2,027,025 at n=16 (about 330 MB as tuples)
 EXTENSION_MAX_N = 14
 
-# tuple_count builds (n/2)!^(d+1); one of 2^19 bits takes about 50 ms at
-# d = 3 or d = 100, and twice that at 2^20 bits
-TUPLE_COUNT_MAX_BITS = 1 << 19
-
 # harmonic_number sums k Fractions exactly: about 0.4 s at k = 2^14 and 1.8 s
 # at k = 50,000.  mean_cycles_uniform takes about 0.9 s at k = 100 with 10^4
 # samples, and 3.4 s at k = 2^20 with one
@@ -85,19 +80,6 @@ CYCLE_SAMPLES_MAX = 1 << 20
 def _check_extension_n(n: int) -> None:
     _check_budget(n, EXTENSION_MAX_N,
                   "n={count} above the small-instance limit {limit} for listing (n-1)!! matchings")
-
-
-def tuple_count(d: int, n: int) -> int:
-    """Matching tuples over the canonical white set: (n/2)!^(d+1).
-
-    A count of more than TUPLE_COUNT_MAX_BITS bits raises BudgetExceeded;
-    its bit length is read from lgamma, not from the count.
-    """
-    _check_size(d, n)
-    bits = math.floor((d + 1) * math.lgamma(n // 2 + 1) / math.log(2)) + 1
-    _check_budget(bits, TUPLE_COUNT_MAX_BITS,
-                  "(n/2)!^(d+1) for n={}, d={} has {count} bits, above the limit {limit}", n, d)
-    return math.factorial(n // 2) ** (d + 1)
 
 
 def classify(G: ColourfulGraph) -> FrozenSet[str]:
@@ -162,7 +144,8 @@ def _census_perms(d: int, n: int, budget: int) -> List[Tuple[int, ...]]:
     """Bijections from the white set onto the black set, sorted, for a checked size.
 
     The budget bounds the (n/2)!^(d+1) tuples the census stands for, not the
-    (n/2)!^d it visits; _check_power_budget decides it, as for enumerate_labelled.
+    (n/2)!^d it visits; _check_power_budget decides it without building the
+    product.
     """
     _check_size(d, n)
     _check_power_budget(range(1, n // 2 + 1), d + 1, budget,
@@ -231,81 +214,6 @@ def all_perfect_matchings(n: int) -> List[Tuple[int, ...]]:
 
     rec()
     return out
-
-
-@dataclass
-class LabelledCensus:
-    """Direct tally over labelled matching tuples of [1..n] (ground truth)."""
-
-    d: int
-    n: int
-    counts: Dict[str, int]
-    bipartite_tuples: int
-    total_tuples: int
-
-
-def _two_colouring(tup: Tuple[Tuple[int, ...], ...], n: int) -> Optional[List[int]]:
-    """Sides (0 white, 1 black) of [1..n] in the union of tup, or None on an odd cycle.
-
-    One search runs from the smallest vertex of each component, which takes
-    the white side.
-    """
-    side = [-1] * (n + 1)
-    for start in range(1, n + 1):
-        if side[start] >= 0:
-            continue
-        side[start] = 0
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            other = side[v] ^ 1
-            for m in tup:
-                u = m[v - 1]
-                if side[u] < 0:
-                    side[u] = other
-                    stack.append(u)
-                elif side[u] != other:
-                    return None
-    return side
-
-
-def enumerate_labelled(d: int, n: int) -> LabelledCensus:
-    """Naive labelled enumeration: every tuple of perfect matchings of [1..n].
-
-    No symmetry shortcuts: each tuple is 2-coloured by a search from the
-    smallest vertex of each component of its union, which goes on the
-    white side; an edge joining two vertices of one side closes an odd
-    cycle, and the tuple is skipped.  A kept tuple is relabelled only to
-    evaluate the (label-invariant) classify: whites become 1..n/2 and
-    blacks n/2+1..n, each in ascending label order.  Counts are raw
-    tallies of labelled tuples.  Before any matching is built, the census's
-    _check_power_budget holds the ((n-1)!!)^(d+1) tuples to DEFAULT_BUDGET.
-    """
-    _check_size(d, n)
-    _check_power_budget(range(n - 1, 0, -2), d + 1, DEFAULT_BUDGET,
-                        "((n-1)!!)^(d+1) for n={}, d={} exceeds budget {limit}", n, d)
-    pms = all_perfect_matchings(n)
-    counts: Dict[str, int] = {cls: 0 for cls in CLASSES}
-    cache: Dict[ColourfulGraph, FrozenSet[str]] = {}
-    bipartite = 0
-    new_id = [0] * (n + 1)
-    for tup in itertools.product(pms, repeat=d + 1):
-        side = _two_colouring(tup, n)
-        if side is None:
-            continue
-        bipartite += 1
-        whites = [v for v in range(1, n + 1) if side[v] == 0]
-        blacks = [v for v in range(1, n + 1) if side[v] == 1]
-        for i, b in enumerate(blacks, start=n // 2 + 1):
-            new_id[b] = i
-        G = ColourfulGraph(d, [[new_id[m[w - 1]] for w in whites] for m in tup])
-        names = cache.get(G)
-        if names is None:
-            names = classify(G)
-            cache[G] = names
-        for cls in names:
-            counts[cls] += 1
-    return LabelledCensus(d, n, counts, bipartite, len(pms) ** (d + 1))
 
 
 @dataclass

@@ -333,8 +333,16 @@ def _union_find(
 def _check_component(
     G: ColourfulGraph, cs: Tuple[int, ...], component: Iterable[int]
 ) -> Tuple[int, ...]:
-    """The component, sorted; raises NotAComponent unless it is one of G_cs."""
-    comp = tuple(sorted(component))
+    """The component, sorted; raises NotAComponent unless it is one of G_cs.
+
+    Entries are read as integers (operator.index), so one that is no
+    integer, such as 1.0 or "a", raises NotAComponent too.
+    """
+    comp = tuple(component)
+    try:
+        comp = tuple(sorted(map(operator.index, comp)))
+    except TypeError:
+        raise NotAComponent(f"{comp} is not a component of the {cs}-residue") from None
     part = residues(G, cs)
     idx = part.component_of.get(comp[0]) if comp else None
     if idx is None or part.components[idx] != comp:

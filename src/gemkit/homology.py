@@ -125,7 +125,12 @@ class BettiVector:
 
 
 def sphere_vector(dim: int) -> Tuple[int, ...]:
-    """Betti numbers of a d-sphere: (2,) in dimension 0, else (1,0,...,0,1)."""
+    """Betti numbers of a d-sphere: (2,) in dimension 0, else (1,0,...,0,1).
+
+    A negative dimension raises RangeError.
+    """
+    if dim < 0:
+        raise RangeError(f"sphere dimension must be >= 0, got {dim}")
     if dim == 0:
         return (2,)
     return (1,) + (0,) * (dim - 1) + (1,)
@@ -135,6 +140,8 @@ def betti_numbers(K: OrderComplex) -> BettiVector:
     """Rational Betti numbers of K: ranks mod 2 first, exact rational ranks
     unless those give the sphere vector (see the module docstring)."""
     _check_boundaries(K)
+    if K.dim < 0:  # no cells
+        return BettiVector(())
     try:
         b = _betti(K, _gf2_rank)
     except TypeError:  # a non-integer entry has no parity

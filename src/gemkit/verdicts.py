@@ -259,8 +259,8 @@ def is_rational_homology_sphere(
     if size == 3:
         emb = genus_of_residue(G, cs, component)
         if emb.genus == 0:
-            return _yes(f"genus witness ({cs}, {min(component)}, 0)")
-        return _no(f"genus witness ({cs}, {min(component)}, {emb.genus})")
+            return _yes(f"genus witness ({cs}, {emb.component[0]}, 0)")
+        return _no(f"genus witness ({cs}, {emb.component[0]}, {emb.genus})")
     sub = residue_subgraph(G, cs, component)
     K = order_complex(sub, range(1, size + 1))
     b = betti_numbers(K)

@@ -1,11 +1,15 @@
-"""The census and lemma sweeps over every matching tuple: a reference for the tests.
+"""The census and lemma sweeps over every matching tuple: references for the tests.
 
 The library visits one matching tuple per white-relabelling orbit and
-weights it by the orbit size.  These walks visit all (n/2)!^(d+1) tuples
-over the canonical white set with no symmetry argument, counting each
-once, so the tests can compare the two.  They reuse the library's
-classifier and witnesses: what they check is the orbit argument, not the
-classes themselves (enumerate_labelled checks those).
+weights it by the orbit size.  full_census and full_lemma_bounds visit all
+(n/2)!^(d+1) tuples over the canonical white set with no symmetry
+argument, counting each once, so the tests can compare the two.  They
+reuse the library's classifier and witnesses: what they check is the
+orbit argument, not the classes themselves.
+
+labelled_census checks the labelled column: it tallies every tuple of
+perfect matchings of [1..n] directly, with no canonical white set and no
+orbit formula, and must agree with CensusReport.labelled_counts.
 """
 
 import itertools
@@ -15,12 +19,14 @@ from gemkit import (
     CensusReport,
     ColourfulGraph,
     LemmaBoundsReport,
+    all_perfect_matchings,
     classify,
     euler_poincare_check,
     lemma1_witness,
     lemma2_witness,
     residues,
 )
+from extension_oracle import two_colouring
 
 
 def _tuples(d, n):
@@ -68,3 +74,37 @@ def full_lemma_bounds(d, n, check_5=False):
                     report.min_slack_5 = w.slack
                     report.extremal_5 = (G, I)
     return report
+
+
+def labelled_census(d, n):
+    """(class counts, bipartite tuples, all tuples) over every tuple of
+    perfect matchings of [1..n].
+
+    Each tuple is 2-coloured, and one whose union has an odd cycle is
+    skipped.  A kept tuple is relabelled only to evaluate the
+    label-invariant classify: whites become 1..n/2 and blacks n/2+1..n,
+    each in ascending label order.  Counts are raw tallies of labelled
+    tuples.
+    """
+    pms = all_perfect_matchings(n)
+    counts = {cls: 0 for cls in CLASSES}
+    cache = {}
+    bipartite = 0
+    new_id = [0] * (n + 1)
+    for tup in itertools.product(pms, repeat=d + 1):
+        coloured = two_colouring(tup, n)
+        if coloured is None:
+            continue
+        bipartite += 1
+        side = coloured[1]
+        whites = [v for v in range(1, n + 1) if side[v] == 0]
+        blacks = [v for v in range(1, n + 1) if side[v] == 1]
+        for i, b in enumerate(blacks, start=n // 2 + 1):
+            new_id[b] = i
+        G = ColourfulGraph(d, [[new_id[m[w - 1]] for w in whites] for m in tup])
+        names = cache.get(G)
+        if names is None:
+            names = cache[G] = classify(G)
+        for cls in names:
+            counts[cls] += 1
+    return counts, bipartite, len(pms) ** (d + 1)

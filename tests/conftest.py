@@ -54,11 +54,6 @@ def split_pair_graph():
 
 
 @pytest.fixture
-def dipole3():
-    return dipole_graph(3)
-
-
-@pytest.fixture
 def tetra():
     return two_tetrahedra_graph()
 

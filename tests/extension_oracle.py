@@ -8,7 +8,7 @@ over the three matchings and two union-finds from scratch, so the tests can
 compare every report field of the two.
 """
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from gemkit import ExtensionBoundReport, all_perfect_matchings
 
@@ -36,9 +36,13 @@ def union_components(ms: Sequence[Sequence[int]], n: int) -> int:
     return components
 
 
-def bipartite_components(ms: Sequence[Sequence[int]], n: int) -> Optional[int]:
-    """Components of the union of the matchings ms on [1..n], or None if
-    the union has an odd cycle, from one 2-colouring search."""
+def two_colouring(ms: Sequence[Sequence[int]], n: int) -> Optional[Tuple[int, List[int]]]:
+    """(components, side) of the union of the matchings ms on [1..n], where
+    side[v] is 0 (white) or 1 (black), or None if the union has an odd cycle.
+
+    One search runs from the smallest vertex of each component, which takes
+    the white side.
+    """
     side = [-1] * (n + 1)
     components = 0
     for start in range(1, n + 1):
@@ -57,7 +61,7 @@ def bipartite_components(ms: Sequence[Sequence[int]], n: int) -> Optional[int]:
                     stack.append(u)
                 elif side[u] != other:
                     return None
-    return components
+    return components, side
 
 
 def extension_bound(m1: Sequence[int], m2: Sequence[int]) -> ExtensionBoundReport:
@@ -68,9 +72,10 @@ def extension_bound(m1: Sequence[int], m2: Sequence[int]) -> ExtensionBoundRepor
     tried = planar = 0
     for m3 in all_perfect_matchings(n):
         tried += 1
-        k = bipartite_components((m1, m2, m3), n)
-        if k is None:
+        coloured = two_colouring((m1, m2, m3), n)
+        if coloured is None:
             continue
+        k = coloured[0]
         # the (m1, m2) cycles are the base's components
         cycles = c + union_components((m1, m3), n) + union_components((m2, m3), n)
         if cycles == 2 * k + n // 2:

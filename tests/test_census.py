@@ -22,20 +22,18 @@ from gemkit import (
     compose_inverse,
     count_cycles,
     enumerate_census,
-    enumerate_labelled,
     graph,
     harmonic_number,
     homology,
     mean_cycles_uniform,
     random_graph,
-    tuple_count,
     verdicts,
     verify_extension_bound,
     verify_lemma_bounds,
     vn_experiment,
 )
-from census_oracle import full_census, full_lemma_bounds
-from extension_oracle import bipartite_components, extension_bound, union_components
+from census_oracle import full_census, full_lemma_bounds, labelled_census
+from extension_oracle import extension_bound, two_colouring, union_components
 from conftest import (
     double_dipole_graph,
     split_pair_graph,
@@ -43,28 +41,6 @@ from conftest import (
     torus_in_d3,
     two_tetrahedra_graph,
 )
-
-
-# (d, n, the error the census size check raises)
-BAD_CENSUS_SIZES = ((3, -2, BadParams), (3, 0, BadParams), (3, 5, BadParams), (0, 4, RangeError))
-
-
-def test_tuple_count():
-    assert tuple_count(3, 4) == 16
-    assert tuple_count(3, 6) == 1296
-    assert tuple_count(2, 6) == 216
-    # the census's own size check, before any arithmetic
-    for d, n, error in BAD_CENSUS_SIZES:
-        with pytest.raises(error):
-            tuple_count(d, n)
-    # a count of more than TUPLE_COUNT_MAX_BITS bits is refused unbuilt
-    assert tuple_count(3, 20000).bit_length() == 473833
-    start = time.perf_counter()
-    with pytest.raises(BudgetExceeded) as exc:
-        tuple_count(1, 2**22)
-    assert time.perf_counter() - start < 1
-    assert str(exc.value) == (
-        "(n/2)!^(d+1) for n=4194304, d=1 has 82029307 bits, above the limit 524288")
 
 
 def test_classify_known_graphs():
@@ -185,10 +161,7 @@ def test_census_d3_n4_frozen_counts():
 
 
 def test_labelled_oracle_agrees_at_n4():
-    census = enumerate_labelled(3, 4)
-    assert census.total_tuples == 3**4
-    assert census.bipartite_tuples == 45
-    assert census.counts == LABELLED_D3_N4
+    assert labelled_census(3, 4) == (LABELLED_D3_N4, 45, 3**4)
 
 
 @pytest.mark.parametrize(
@@ -197,8 +170,8 @@ def test_labelled_oracle_agrees_at_n4():
 )
 def test_labelled_oracle_skips_tuples_with_odd_cycles(d, n, total, bipartite):
     # every union of two perfect matchings is bipartite, so d = 1 keeps all
-    census = enumerate_labelled(d, n)
-    assert (census.total_tuples, census.bipartite_tuples) == (total, bipartite)
+    _, kept, tuples = labelled_census(d, n)
+    assert (tuples, kept) == (total, bipartite)
 
 
 def test_census_d2_n6_frozen_counts():
@@ -286,28 +259,13 @@ def test_census_budget():
         enumerate_census(3, 6, budget=100)
     with pytest.raises(BadParams):
         enumerate_census(3, 5)
-    # refused before any of the 29!! matchings of [1..30] is built
-    with pytest.raises(BudgetExceeded):
-        enumerate_labelled(3, 30)
-    # ((n-1)!!)^(d+1) has tens of thousands of digits or more here; it is
-    # refused without being built or printed
-    for n in (20000, 2**23):
-        start = time.perf_counter()
-        with pytest.raises(BudgetExceeded) as exc:
-            enumerate_labelled(1, n)
-        assert time.perf_counter() - start < 1
-        assert str(exc.value) == f"((n-1)!!)^(d+1) for n={n}, d=1 exceeds budget 100000000"
-    for d, n, error in BAD_CENSUS_SIZES:
-        message = f"dimension d must be >= 1, got {d}" if d < 1 else f"n must be even and >= 2, got {n}"
-        with pytest.raises(error, match=rf"^{message}$"):
-            enumerate_labelled(d, n)
 
 
 @pytest.mark.parametrize("d,n", [(3, 5), (3, 0), (0, 4), (3, 2 * 10**9)])
 def test_every_size_check_raises_the_same_error(d, n):
-    # one check serves the census, the labelled oracle and the sampler
+    # one check serves the census and the sampler
     raised = set()
-    for call in (tuple_count, enumerate_census, enumerate_labelled, random_graph):
+    for call in (enumerate_census, random_graph):
         with pytest.raises(GemkitError) as exc:
             call(d, n)
         raised.add((type(exc.value), str(exc.value)))
@@ -328,7 +286,7 @@ def test_budget_counts_every_tuple_even_in_a_shard():
         )
 
 
-def test_budget_check_agrees_with_the_full_product(monkeypatch):
+def test_budget_check_agrees_with_the_full_product():
     # the factor-by-factor check refuses exactly the sizes whose whole
     # product (n/2)!^(d+1) passes the budget, also where it never builds it
     budgets = [0, 1] + [2**b + e for b in range(1, 40) for e in (-1, 0)]
@@ -340,27 +298,7 @@ def test_budget_check_agrees_with_the_full_product(monkeypatch):
                     refused = False
                 except BudgetExceeded:
                     refused = True
-                assert refused == (tuple_count(d, n) > budget), (d, n, budget)
-
-    # the labelled oracle holds ((n-1)!!)^(d+1) to DEFAULT_BUDGET the same
-    # way; a size it accepts reaches the matchings, stopped here unbuilt
-    class Accepted(Exception):
-        pass
-
-    def accepted(n):
-        raise Accepted
-
-    monkeypatch.setattr(census, "all_perfect_matchings", accepted)
-    for d in range(1, 42):
-        for n in range(2, 15, 2):
-            try:
-                enumerate_labelled(d, n)
-            except Accepted:
-                refused = False
-            except BudgetExceeded:
-                refused = True
-            count = math.prod(range(n - 1, 0, -2)) ** (d + 1)
-            assert refused == (count > census.DEFAULT_BUDGET), (d, n)
+                assert refused == (math.factorial(n // 2) ** (d + 1) > budget), (d, n, budget)
 
 
 def test_all_perfect_matchings_counts():
@@ -476,8 +414,9 @@ def test_union_components_agrees_with_a_search():
             for tup in itertools.product(ms, repeat=r):
                 expected = _search_components(tup, n)
                 assert union_components(tup, n) == expected
-                bipartite = _has_two_colouring(tup, n)
-                assert bipartite_components(tup, n) == (expected if bipartite else None)
+                coloured = two_colouring(tup, n)
+                components = None if coloured is None else coloured[0]
+                assert components == (expected if _has_two_colouring(tup, n) else None)
 
 
 def _double_factorial(n):
@@ -628,7 +567,7 @@ def test_the_extension_search_reaches_only_bipartite_completions():
     for m1, m2 in pairs:
         n = len(m1)
         bipartite = sum(
-            bipartite_components((m1, m2, m3), n) is not None
+            two_colouring((m1, m2, m3), n) is not None
             for m3 in all_perfect_matchings(n)
         )
         assert _search_leaves(m1, m2) == bipartite, (m1, m2)

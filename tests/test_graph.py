@@ -275,6 +275,20 @@ def test_genus_requires_three_colours_and_a_real_component():
         genus_of_residue(G, (1, 2, 3), (1, 2))
 
 
+@pytest.mark.parametrize(
+    "call, cs, component, shown",
+    [(genus_of_residue, (1, 2, 3), ["a", 1], "('a', 1)"),
+     (residue_subgraph, (1, 2), [1.0, 3], "(1.0, 3)")],
+)
+def test_component_entries_must_be_integers(call, cs, component, shown):
+    # read through operator.index, as matching entries are
+    G = two_tetrahedra_graph()
+    with pytest.raises(NotAComponent) as exc:
+        call(G, cs, component)
+    assert str(exc.value) == f"{shown} is not a component of the {cs}-residue"
+    call(G, cs, [3, 1])  # a component given as integers passes
+
+
 @settings(max_examples=40, deadline=None)
 @given(colourful_graphs())
 def test_every_three_residue_satisfies_euler_formula(G):

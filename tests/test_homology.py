@@ -46,6 +46,13 @@ def test_sphere_vector():
     assert sphere_vector(0) == (2,)
     assert sphere_vector(1) == (1, 1)
     assert sphere_vector(3) == (1, 0, 0, 1)
+    for dim in (-1, -4):
+        with pytest.raises(RangeError, match=rf"^sphere dimension must be >= 0, got {dim}$"):
+            sphere_vector(dim)
+
+
+def test_a_complex_with_no_cells_has_no_betti_numbers():
+    assert betti_numbers(OrderComplex((), [])).betti == ()
 
 
 def test_single_colour_complex_is_isolated_points():

@@ -2,6 +2,7 @@
 
 import copy
 import gc
+import math
 import pickle
 from fractions import Fraction
 
@@ -39,7 +40,6 @@ from gemkit import (
     random_construction_params,
     random_graph,
     residues,
-    tuple_count,
 )
 from gemkit.dipoles import _Cancellation
 from gemkit.verdicts import _positive_genus_witness
@@ -379,7 +379,7 @@ def test_the_verdict_record_gives_the_same_answers_in_any_call_order(d, n):
     # be the one a fresh copy gives on its own
     graphs = []
     enumerate_census(d, n, emit=lambda G, names: graphs.append(G))
-    assert len(graphs) == tuple_count(d, n)
+    assert len(graphs) == math.factorial(n // 2) ** (d + 1)
     for G in graphs:
 
         def fresh():
@@ -468,6 +468,12 @@ def test_rational_homology_sphere_input_checks():
     with pytest.raises(NotAComponent):
         # (1, 4) is not an edge of colour 2
         is_rational_homology_sphere(G, (2,), (1, 4))
+    with pytest.raises(NotAComponent):
+        # an entry equal to an integer is still no integer
+        is_rational_homology_sphere(G, (1, 2), [1.0, 3])
+    # any iterable of integers names a component, as for genus_of_residue
+    verdict = is_rational_homology_sphere(G, (1, 2, 3), iter([3, 1]))
+    assert verdict.certificate == "genus witness ((1, 2, 3), 1, 0)"
 
 
 # ------------------------------------------------- counting identities
