@@ -1,16 +1,16 @@
 """Assemble manifold graphs from two permutations and count how many exist.
 
-Start from the base graph with its open/full degree pattern, glue the open
-columns according to a pair of permutations, then confirm the result has
-every guarantee the family promises: connectedness, a single residue per
-proper colour subset, the vertex count formula, and a manifold verdict.  At
-the end, grow the instance into higher dimension while keeping every colour
-pair planar, and watch the manifold question become genuinely harder.
+Build a glued graph from a pair of permutations and read back the base
+gadget's open/full degree pattern from its gluing edges, then confirm the
+result has every guarantee the family promises: connectedness, a single
+residue per proper colour subset, the vertex count formula, and a manifold
+verdict.  At the end, grow the instance into higher dimension while keeping
+every colour pair planar, and watch the manifold question become genuinely
+harder.
 """
 
 from gemkit import (
     ConstructionParams,
-    build_G0,
     build_manifold,
     build_planar_family,
     complex_vertex_count,
@@ -28,13 +28,19 @@ from gemkit import (
 # smallest non-trivial choice at d=3 is a swap across positions 1 and 3
 d, k = 3, 3
 params = ConstructionParams(d, k, (3, 2, 1), (1, 2, 3))
-base = build_G0(d, k)
-open_cols = sum(1 for v in range(1, base.n + 1) if base.degree(v) == d)
-print(f"base graph for d={d}, k={k}: n={base.n},"
-      f" open columns (degree {d}): {open_cols},"
-      f" full columns: {base.n - open_cols}")
-
 G = build_manifold(params)
+
+# build_manifold first lays out the base gadget, which leaves the
+# colour-(d+1) slot open at the 4k positions divisible by d, and then glues
+# those slots in pairs along sigma and tau.  Every other colour-(d+1) edge
+# joins the two ends of one column (white w, black n/2 + w), so the gluing
+# edges are the ones that leave their column.
+glued = [w for w, b in enumerate(G.matchings[d], start=1) if b != G.half + w]
+open_cols = 2 * len(glued)
+print(f"base graph for d={d}, k={k}: n={G.n},"
+      f" open columns (degree {d}): {open_cols},"
+      f" full columns: {G.n - open_cols}")
+print(f"gluing edges along sigma and tau: {len(glued)} (2k = {2 * k})")
 print(f"glued graph: n={G.n}, connected={is_connected(G)}")
 
 kt = kappa_table(G)

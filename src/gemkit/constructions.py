@@ -1,12 +1,13 @@
 """Explicit manifold families and uniform random colourful graphs.
 
-The base gadget graph on 4kd vertices is a horizontal double path of
-columns (two letters a/b on the left half, a'/b' mirrored on the right),
-with vertical edges inside columns and two permutations sigma, tau gluing
-the loose colour-(d+1) slots across the halves.  For d = 3 every instance
-encodes a closed 3-manifold (checked exactly by the genus criterion), and
-adding identity verticals in the extra colours lifts the d = 3 family to
-any higher d while keeping all 3-residues planar.
+build_manifold first lays out the base gadget on 4kd vertices: a
+horizontal double path of columns (two letters a/b on the left half, a'/b'
+mirrored on the right) with vertical edges inside columns, which leaves the
+colour-(d+1) slot open at positions divisible by d.  It then glues those
+slots across the halves along two permutations sigma, tau.  For d = 3 every
+instance encodes a closed 3-manifold (checked exactly by the genus
+criterion), and adding identity verticals in the extra colours lifts the
+d = 3 family to any higher d while keeping all 3-residues planar.
 
 Vertex ids follow the column layout: columns are numbered 1..2kd left to
 right (unprimed letters hold columns kd..1, primed letters kd+1..2kd);
@@ -56,10 +57,10 @@ def _check_family(d: int, k: int) -> int:
 class ConstructionParams:
     """Parameters (d, k, sigma, tau) of the glued double-path family.
 
-    sigma and tau are permutations of [1..k] in one-line image notation.
-    For odd d the gluing edges connect opposite bipartition classes only
-    when each permutation preserves position parity (i and sigma(i) have
-    the same parity); violating pairs are rejected here.
+    sigma and tau are permutations of [1..k] in one-line image notation
+    that map each class of _parity_classes(d, k) onto itself: for odd d
+    they preserve position parity, else the gluing edges break the
+    bipartition.  Other pairs are rejected here.
     """
 
     d: int
@@ -88,6 +89,14 @@ class ConstructionParams:
         return 4 * self.d * self.k
 
 
+def _parity_classes(d: int, k: int) -> List[range]:
+    """The position classes sigma and tau map onto themselves: 1..k for even
+    d; for odd d the odd and the even positions, so that every gluing edge
+    joins opposite bipartition classes."""
+    step = 1 + d % 2
+    return [range(first, k + 1, step) for first in range(1, step + 1)]
+
+
 def _path_colour(m: int, d: int) -> int:
     return (m - 1) % d + 1
 
@@ -105,23 +114,6 @@ def _vertex_ids(kd: int) -> Dict[str, List[int]]:
             row.append(column if i % 2 == white_parity else 2 * kd + column)
         ids[letter] = row
     return ids
-
-
-@dataclass(frozen=True)
-class PartialGraph:
-    """Edge list of the base gadget graph, before the gluing permutations.
-
-    Vertices at positions divisible by d are missing their colour-(d+1)
-    edge, so this is not yet a colourful graph.
-    """
-
-    d: int
-    k: int
-    n: int
-    edges: Tuple[Tuple[int, int, int], ...]
-
-    def degree(self, v: int) -> int:
-        return sum(1 for u, w, _ in self.edges if v in (u, w))
 
 
 def _base_edges(d: int, ids: Dict[str, List[int]]) -> List[Tuple[int, int, int]]:
@@ -144,16 +136,6 @@ def _base_edges(d: int, ids: Dict[str, List[int]]) -> List[Tuple[int, int, int]]
             if i % d:
                 edges.append((top[i], bottom[i], d + 1))
     return edges
-
-
-def build_G0(d: int, k: int) -> PartialGraph:
-    """Base gadget graph: double paths, verticals, end edges; no gluing yet.
-
-    Positions i divisible by d have degree d (their colour-(d+1) slot is
-    open); all other positions have full degree d+1.
-    """
-    n = _check_family(d, k)
-    return PartialGraph(d, k, n, tuple(_base_edges(d, _vertex_ids(k * d))))
 
 
 def build_manifold(params: ConstructionParams) -> ColourfulGraph:
@@ -221,21 +203,18 @@ def random_graph(d: int, n: int, seed: SeedLike = 0) -> ColourfulGraph:
 
 
 def random_construction_params(d: int, k: int, seed: SeedLike = 0) -> ConstructionParams:
-    """Uniform valid (sigma, tau): parity-preserving pairs when d is odd."""
+    """Uniform admissible (sigma, tau): each _parity_classes class shuffled in order."""
     _check_family(d, k)
     rng = _rng(seed)
 
     def perm() -> Tuple[int, ...]:
-        if d % 2 == 0:
-            images = list(range(1, k + 1))
-            rng.shuffle(images)
-            return tuple(images)
-        odds = [i for i in range(1, k + 1) if i % 2]
-        evens = [i for i in range(1, k + 1) if i % 2 == 0]
-        rng.shuffle(odds)
-        rng.shuffle(evens)
-        it_odd, it_even = iter(odds), iter(evens)
-        return tuple(next(it_odd) if i % 2 else next(it_even) for i in range(1, k + 1))
+        images = [0] * k
+        for positions in _parity_classes(d, k):
+            shuffled = list(positions)
+            rng.shuffle(shuffled)
+            for i, image in zip(positions, shuffled):
+                images[i - 1] = image
+        return tuple(images)
 
     return ConstructionParams(d, k, perm(), perm())
 
@@ -243,13 +222,13 @@ def random_construction_params(d: int, k: int, seed: SeedLike = 0) -> Constructi
 def family_size_lower_bound(d: int, k: int) -> int:
     """Labelled glued graphs of shape (d, k): s^2 n!/4, n = 4kd, s admissible sigma.
 
-    s counts the permutations ConstructionParams accepts: all k! for even d,
-    and for odd d the parity-preserving ones, ceil(k/2)! floor(k/2)!.
+    s, the product of |class|! over _parity_classes(d, k), counts the sigma
+    ConstructionParams accepts: k! for even d, ceil(k/2)! floor(k/2)! for odd d.
     n above FAMILY_SIZE_MAX_N raises BudgetExceeded before any factorial.
     """
     n = _check_family(d, k)
     _check_budget(n, FAMILY_SIZE_MAX_N,
                   "n = 4kd = {count} above the limit {limit} for building n!")
     f = math.factorial
-    s = f(k) if d % 2 == 0 else f(k - k // 2) * f(k // 2)
+    s = math.prod(f(len(positions)) for positions in _parity_classes(d, k))
     return s**2 * f(n) // 4

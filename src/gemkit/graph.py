@@ -336,10 +336,12 @@ def _check_component(
     """The component, sorted; raises NotAComponent unless it is one of G_cs.
 
     Entries are read as integers (operator.index), so one that is no
-    integer, such as 1.0 or "a", raises NotAComponent too.
+    integer, such as 1.0 or "a", raises NotAComponent too, as does a
+    component that is not iterable, such as 5 or None.
     """
-    comp = tuple(component)
+    comp = component
     try:
+        comp = tuple(comp)
         comp = tuple(sorted(map(operator.index, comp)))
     except TypeError:
         raise NotAComponent(f"{comp} is not a component of the {cs}-residue") from None

@@ -39,7 +39,14 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .errors import InvalidColourSet, InvariantViolated, RangeError
-from .graph import ColourfulGraph, _check_subset_budget, _colour_masks, _partition
+from .graph import (
+    GRAPH_ENTRIES_MAX,
+    ColourfulGraph,
+    _check_budget,
+    _check_subset_budget,
+    _colour_masks,
+    _partition,
+)
 
 # A sparse column: list of (row index, +-1 incidence sign).
 Column = List[Tuple[int, int]]
@@ -127,10 +134,13 @@ class BettiVector:
 def sphere_vector(dim: int) -> Tuple[int, ...]:
     """Betti numbers of a d-sphere: (2,) in dimension 0, else (1,0,...,0,1).
 
-    A negative dimension raises RangeError.
+    A negative dimension raises RangeError, and one above GRAPH_ENTRIES_MAX
+    (far above any complex the package builds) BudgetExceeded.
     """
     if dim < 0:
         raise RangeError(f"sphere dimension must be >= 0, got {dim}")
+    _check_budget(dim, GRAPH_ENTRIES_MAX,
+                  "sphere dimension {count} above the limit {limit} for its Betti vector")
     if dim == 0:
         return (2,)
     return (1,) + (0,) * (dim - 1) + (1,)

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 import time
 
 import pytest
@@ -12,10 +13,10 @@ from gemkit import (
     BudgetExceeded,
     ColourfulGraph,
     ConstructionParams,
+    InvariantViolated,
     NotAConstructionGraph,
     RangeError,
     Status,
-    build_G0,
     build_manifold,
     build_planar_family,
     colour_deleted_components,
@@ -31,6 +32,7 @@ from gemkit import (
     random_construction_params,
     random_graph,
 )
+from gemkit import constructions
 from conftest import torus_graph
 
 
@@ -56,33 +58,21 @@ def test_odd_dimension_needs_parity_preserving_permutations():
     ConstructionParams(3, 5, (3, 2, 5, 4, 1), (1, 2, 3, 4, 5))
 
 
-@pytest.mark.parametrize("d,k", [(3, 1), (3, 2), (4, 1), (5, 1)])
-def test_base_graph_degree_pattern(d, k):
-    G0 = build_G0(d, k)
-    kd = k * d
-    assert G0.n == 4 * kd
-    open_count = full_count = 0
-    for v in range(1, G0.n + 1):
-        col = (v - 1) % (2 * kd) + 1  # column index of the vertex
-        i = kd + 1 - col if col <= kd else col - kd
-        colours = sorted(c for u, w, c in G0.edges if v in (u, w))
-        if i % d == 0:
-            assert G0.degree(v) == d
-            assert colours == list(range(1, d + 1))
-            open_count += 1
-        else:
-            assert G0.degree(v) == d + 1
-            assert colours == list(range(1, d + 2))
-            full_count += 1
-    assert open_count == 4 * k
-    assert full_count == 4 * (kd - k)
-
-
-def test_base_graph_rejects_bad_shape():
-    with pytest.raises(BadParams):
-        build_G0(2, 1)
-    with pytest.raises(BadParams):
-        build_G0(3, 0)
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [(lambda edges: edges[1:], "a colour slot of the glued graph is empty"),
+     (lambda edges: edges + edges[:1], "vertex 3 has two edges of colour 2"),
+     (lambda edges: [(1, 2, edges[0][2])] + edges[1:],
+      "edge 1-2 does not straddle the bipartition")],
+)
+def test_build_checks_every_slot_of_the_base_gadget(monkeypatch, corrupt, message):
+    # build_manifold's own checks stand for the base gadget's degree pattern:
+    # a missing, doubled or same-side edge in its first stage is refused
+    base_edges = constructions._base_edges
+    monkeypatch.setattr(constructions, "_base_edges",
+                        lambda d, ids: corrupt(base_edges(d, ids)))
+    with pytest.raises(InvariantViolated, match=f"^{re.escape(message)}$"):
+        build_manifold(ConstructionParams(3, 1, (1,), (1,)))
 
 
 def test_build_is_deterministic_and_connected():
@@ -188,6 +178,21 @@ def test_random_params_are_valid_and_seeded():
             assert all((i - image) % 2 == 0 for i, image in enumerate(perm, start=1))
     q = random_construction_params(4, 6, seed=0)
     assert sorted(q.sigma) == list(range(1, 7))
+
+
+@pytest.mark.parametrize("d, k, seed, sigma, tau", [
+    (3, 5, 0, (1, 4, 5, 2, 3), (1, 2, 5, 4, 3)),
+    (3, 6, 1, (3, 6, 5, 2, 1, 4), (1, 2, 5, 6, 3, 4)),
+    (3, 7, 11, (1, 6, 3, 2, 5, 4, 7), (1, 4, 7, 2, 5, 6, 3)),
+    (5, 4, 2, (3, 4, 1, 2), (3, 2, 1, 4)),
+    (4, 5, 0, (3, 2, 1, 5, 4), (1, 3, 2, 4, 5)),
+    (6, 4, 3, (4, 1, 3, 2), (1, 2, 4, 3)),
+    (4, 1, 0, (1,), (1,)),
+])
+def test_random_params_draws_are_pinned(d, k, seed, sigma, tau):
+    # seeded draws are part of the output (gen --random-perms prints them)
+    p = random_construction_params(d, k, seed)
+    assert (p.sigma, p.tau) == (sigma, tau)
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])

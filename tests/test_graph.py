@@ -22,6 +22,7 @@ from gemkit import (
     genus_of_residue,
     has_property_P,
     is_connected,
+    is_rational_homology_sphere,
     kappa_r,
     kappa_table,
     residue_subgraph,
@@ -278,10 +279,15 @@ def test_genus_requires_three_colours_and_a_real_component():
 @pytest.mark.parametrize(
     "call, cs, component, shown",
     [(genus_of_residue, (1, 2, 3), ["a", 1], "('a', 1)"),
-     (residue_subgraph, (1, 2), [1.0, 3], "(1.0, 3)")],
+     (residue_subgraph, (1, 2), [1.0, 3], "(1.0, 3)"),
+     (genus_of_residue, (1, 2, 3), 5, "5"),
+     (genus_of_residue, (1, 2, 3), None, "None"),
+     (residue_subgraph, (1, 2), 5, "5"),
+     (is_rational_homology_sphere, (1, 2), 5, "5")],
 )
 def test_component_entries_must_be_integers(call, cs, component, shown):
-    # read through operator.index, as matching entries are
+    # read through operator.index, as matching entries are; a component
+    # that is not iterable at all is refused the same way
     G = two_tetrahedra_graph()
     with pytest.raises(NotAComponent) as exc:
         call(G, cs, component)
