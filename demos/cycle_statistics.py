@@ -9,7 +9,7 @@ the drop in V/n visible at modest sizes.
 from gemkit import harmonic_number, mean_cycles_uniform, vn_experiment
 
 for k in (10, 100, 1000):
-    est = mean_cycles_uniform(k, samples=4000, seed=1)
+    est = mean_cycles_uniform(k, samples=1000, seed=1)
     print(f"k={k:>5}: mean cycles {est:.3f}   H_k={harmonic_number(k):.3f}")
 
 print()

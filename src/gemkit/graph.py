@@ -217,15 +217,19 @@ class ResiduePartition:
 
 def _colour_bits(G: ColourfulGraph, I: Iterable[int]) -> int:
     """The bitmask of colour set I (bit c-1 for colour c), validated against G."""
-    bits = 0
+    # a colour is compared with d+1 before it is shifted, so a huge one costs
+    # no huge integer; the message names the smallest colour out of range
+    top = G.d + 1
+    bits = high = 0
     for c in I:
         if not isinstance(c, int) or c < 1:
             raise InvalidColourSet(f"colour {c!r} is not a positive integer")
-        bits |= 1 << (c - 1)
-    high = bits >> (G.d + 1)
+        if c <= top:
+            bits |= 1 << (c - 1)
+        elif not high or c < high:
+            high = c
     if high:
-        c = G.d + 1 + (high & -high).bit_length()
-        raise InvalidColourSet(f"colour {c} outside [1..{G.d + 1}]")
+        raise InvalidColourSet(f"colour {high} outside [1..{top}]")
     return bits
 
 
@@ -423,7 +427,12 @@ def genus_of_residue(
     cs = _check_colours(G, I)
     if len(cs) != 3:
         raise InvalidColourSet(f"genus needs exactly 3 colours, got {len(cs)}")
-    comp = _check_component(G, cs, component)
+    return _genus(G, cs, _check_component(G, cs, component))
+
+
+def _genus(G: ColourfulGraph, cs: Tuple[int, int, int], comp: Tuple[int, ...]) -> EmbeddedResidue:
+    """genus_of_residue without the checks, for callers whose cs is a sorted
+    colour triple and comp a component of the partition they read for it."""
     V = len(comp)
     E = 3 * V // 2
     whites = [v for v in comp if v <= G.half]

@@ -29,7 +29,9 @@ record.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -40,9 +42,14 @@ from .errors import Disconnected, InvalidColourSet, InvariantViolated, OddDimens
 from .graph import (
     COLOUR_SUBSET_MAX,
     ColourfulGraph,
+    ResiduePartition,
     _check_budget,
     _check_colours,
     _check_component,
+    _colour_masks,
+    _colours_of,
+    _genus,
+    _partition,
     _planar_triple,
     genus_of_residue,
     has_property_P,
@@ -122,7 +129,7 @@ def _positive_genus_witness(G: ColourfulGraph) -> str:
     """
     for I in itertools.combinations(range(1, G.d + 2), 3):
         for comp in residues(G, I).components:
-            g = genus_of_residue(G, I, comp).genus
+            g = _genus(G, I, comp).genus
             if g > 0:
                 return f"genus witness ({I}, {comp[0]}, {g})"
     raise InvariantViolated("property P fails but every 3-residue component has genus 0")
@@ -302,23 +309,40 @@ class LemmaWitness:
     hypothesis_met: bool
 
 
+def _checked_masks(
+    G: ColourfulGraph, I: Iterable[int], size: int
+) -> Tuple[Tuple[int, ...], Tuple[int, ...], ResiduePartition]:
+    """(colours, masks, partition) of a colour set of the given size: I is
+    checked once, and its partition read by mask."""
+    masks = _colour_masks(G, I)
+    if len(masks) != size:
+        raise InvalidColourSet(f"need |I|={size}, got {len(masks)}")
+    full = functools.reduce(operator.or_, masks)
+    return _colours_of(full), masks, _partition(G, full)
+
+
 def lemma1_witness(G: ColourfulGraph, I: Iterable[int]) -> LemmaWitness:
     """Minimize kappa(i,j) - kappa(I) over pairs in a 3-set; bound n/6.
 
     Hypothesis: every component of G_I has genus 0.  When it fails, the raw
     minimum is returned with hypothesis_met=False.
+
+    When it holds, so does the counting identity kappa(i,j) + kappa(i,k) +
+    kappa(j,k) = 2 kappa(I) + n/2, and the three differences kappa(pair) -
+    kappa(I) sum to n/2 - kappa(I).  Their minimum is at most their mean,
+    so slack = kappa(I)/3 + (mean - min) >= kappa(I)/3 > 0: the bound
+    cannot fail, and the slack is what an audit learns.
+
+    I is checked once; the partitions of I and of its pairs are read by
+    mask, and each component's genus skips the checks genus_of_residue
+    makes, since the components come from the partition just read.
     """
-    cs = _check_colours(G, I)
-    if len(cs) != 3:
-        raise InvalidColourSet(f"need |I|=3, got {len(cs)}")
-    part = residues(G, cs)
-    hypothesis = all(
-        genus_of_residue(G, cs, comp).genus == 0 for comp in part.components
-    )
+    cs, masks, part = _checked_masks(G, I, 3)
+    hypothesis = all(_genus(G, cs, comp).genus == 0 for comp in part.components)
     k_full = len(part)
     best = None
-    for i, j in itertools.combinations(cs, 2):
-        value = len(residues(G, (i, j))) - k_full
+    for (i, a), (j, b) in itertools.combinations(zip(cs, masks), 2):
+        value = len(_partition(G, a | b)) - k_full
         if best is None or value < best[1]:
             best = ((i, j), value)
     bound = Fraction(G.n, 6)
@@ -330,21 +354,23 @@ def lemma2_witness(G: ColourfulGraph, I: Iterable[int]) -> LemmaWitness:
 
     Hypothesis: every component of G_I has the rational homology of a
     4-sphere.  When it fails, the raw minimum is returned with
-    hypothesis_met=False.
+    hypothesis_met=False.  I is checked once and the pair and triple
+    partitions are read by mask.
     """
-    cs = _check_colours(G, I)
-    if len(cs) != 5:
-        raise InvalidColourSet(f"need |I|=5, got {len(cs)}")
-    part = residues(G, cs)
+    cs, masks, part = _checked_masks(G, I, 5)
     hypothesis = all(
         is_rational_homology_sphere(G, cs, comp).status is Status.YES
         for comp in part.components
     )
+    coloured = tuple(zip(cs, masks))
     best = None
-    for i, j in itertools.combinations(cs, 2):
-        k_pair = len(residues(G, (i, j)))
-        for k in (k for k in cs if k not in (i, j)):
-            value = k_pair - len(residues(G, (i, j, k)))
+    for (i, a), (j, b) in itertools.combinations(coloured, 2):
+        pair = a | b
+        k_pair = len(_partition(G, pair))
+        for k, c in coloured:
+            if c & pair:
+                continue
+            value = k_pair - len(_partition(G, pair | c))
             if best is None or value < best[1]:
                 best = ((i, j, k), value)
     bound = Fraction(3 * G.n, 20)

@@ -9,9 +9,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# cycle_statistics.py samples for about 7 s, too long for the tier-1 run
-SLOW = {"cycle_statistics.py"}
-DEMOS = sorted(p for p in (ROOT / "demos").glob("*.py") if p.name not in SLOW)
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_demos_are_found():

@@ -157,6 +157,13 @@ def test_residues_rejects_unknown_colour():
             residues(torus_graph(), I)
 
 
+def test_residues_names_the_smallest_of_huge_colours():
+    # each colour is compared with d+1 before it becomes a bit
+    for I, named in (((2**40, 1), 2**40), ((10**9, 2**40), 10**9), (range(1, 10**4), 4)):
+        with pytest.raises(InvalidColourSet, match=rf"^colour {named} outside \[1\.\.3\]$"):
+            residues(torus_graph(), I)
+
+
 @settings(max_examples=60, deadline=None)
 @given(colourful_graphs())
 def test_kappa_table_matches_direct_component_counts(G):

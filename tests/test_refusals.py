@@ -45,6 +45,7 @@ CALLS = {
     "vn_experiment(range)": lambda v: vn_experiment(range(1, v + 1), 1),
     "vn_experiment(samples)": lambda v: vn_experiment([1], v),
     "kappa_r(r)": lambda v: kappa_r(two_tetrahedra_graph(), (1, 2, 3), v),
+    "kappa_r(colour)": lambda v: kappa_r(two_tetrahedra_graph(), (v,), 2),
     "sphere_vector(dim)": sphere_vector,
 }
 
@@ -70,3 +71,10 @@ def _within_a_second(call, value):
 @pytest.mark.parametrize("name", CALLS)
 def test_size_arguments_return_or_refuse_within_a_second(name, value):
     _within_a_second(CALLS[name], value)
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+def test_a_million_colours_are_refused_within_a_second():
+    # each colour is compared with d+1 before it becomes a bit, so no
+    # million-bit mask is built on the way to the refusal
+    _within_a_second(lambda I: kappa_r(two_tetrahedra_graph(), I, 2), range(1, 10**6))

@@ -2,6 +2,7 @@
 
 import copy
 import gc
+import itertools
 import math
 import pickle
 from fractions import Fraction
@@ -30,6 +31,7 @@ from gemkit import (
     colour_deleted_components,
     enumerate_census,
     euler_poincare_check,
+    genus_of_residue,
     is_connected,
     is_manifold,
     is_rational_homology_sphere,
@@ -41,6 +43,7 @@ from gemkit import (
     random_graph,
     residues,
 )
+from gemkit.census import _orbit_walk
 from gemkit.dipoles import _Cancellation
 from gemkit.verdicts import _positive_genus_witness
 from conftest import (
@@ -521,3 +524,87 @@ def test_lemma2_witness_on_the_terminal_dipole():
 def test_lemma2_requires_five_colours():
     with pytest.raises(InvalidColourSet):
         lemma2_witness(dipole_graph(4), (1, 2, 3, 4))
+
+
+# ------------------------------------------------ witnesses against the public path
+# The census oracle calls the same witnesses as the sweep, so these tests
+# pin them to counts read through residues, genus_of_residue and
+# is_rational_homology_sphere instead.
+
+
+def _orbit_graphs(d, n):
+    return [G for _, G in _orbit_walk(d, n, 10**8)]
+
+
+def _high_d_graphs():
+    """Seeded random d = 4 and d = 5 graphs, d = 5 manifolds and their
+    colour-deleted components, which are d = 4 spheres."""
+    graphs = [random_graph(d, n, seed) for d in (4, 5) for n in (4, 8, 12) for seed in range(3)]
+    for seed in range(2):
+        M = build_manifold(random_construction_params(5, 1, seed))
+        graphs.append(M)
+        graphs.extend(colour_deleted_components(M, 1 + seed))
+    return graphs
+
+
+def _first_minimum(values):
+    """The first key of least value, in the dict's order, with that value."""
+    best = min(values, key=values.get)
+    return best, values[best]
+
+
+@pytest.mark.parametrize("graphs", [
+    pytest.param(lambda: _orbit_graphs(3, 6), id="orbit-walk-3-6"),
+    pytest.param(_high_d_graphs, id="random-d4-d5"),
+])
+def test_lemma1_witness_matches_residues_and_genus(graphs):
+    met = set()
+    for G in graphs():
+        for I in itertools.combinations(G.colours, 3):
+            w = lemma1_witness(G, I)
+            k_full = len(residues(G, I))
+            values = {pair: len(residues(G, pair)) - k_full
+                      for pair in itertools.combinations(I, 2)}
+            assert (w.indices, w.value) == _first_minimum(values)
+            assert w.hypothesis_met == all(
+                genus_of_residue(G, I, comp).genus == 0 for comp in residues(G, I).components)
+            met.add(w.hypothesis_met)
+    assert met == {True, False}
+
+
+def test_lemma2_witness_matches_residues_and_homology():
+    met = set()
+    for G in _high_d_graphs():
+        for I in itertools.combinations(G.colours, 5):
+            w = lemma2_witness(G, I)
+            values = {}
+            for i, j in itertools.combinations(I, 2):
+                k_pair = len(residues(G, (i, j)))
+                for k in I:
+                    if k not in (i, j):
+                        values[(i, j, k)] = k_pair - len(residues(G, (i, j, k)))
+            assert (w.indices, w.value) == _first_minimum(values)
+            assert w.hypothesis_met == all(
+                is_rational_homology_sphere(G, I, comp).status is Status.YES
+                for comp in residues(G, I).components)
+            met.add(w.hypothesis_met)
+    assert met == {True, False}
+
+
+@pytest.mark.parametrize("d, n", [(3, 6), (4, 6)])
+def test_lemma1_slack_is_a_third_of_kappa_plus_the_spread(d, n):
+    # on a planar G_I the three differences kappa(pair) - kappa(I) sum to
+    # n/2 - kappa(I), so slack = n/6 - min = kappa(I)/3 + (mean - min)
+    planar = 0
+    for G in _orbit_graphs(d, n):
+        for I in itertools.combinations(G.colours, 3):
+            w = lemma1_witness(G, I)
+            if not w.hypothesis_met:
+                continue
+            planar += 1
+            k_full = len(residues(G, I))
+            diffs = [len(residues(G, pair)) - k_full for pair in itertools.combinations(I, 2)]
+            third = Fraction(k_full, 3)
+            assert w.slack == third + (Fraction(sum(diffs), 3) - min(diffs))
+            assert w.slack >= third > 0
+    assert planar == {(3, 6): 816, (4, 6): 12240}[(d, n)]
