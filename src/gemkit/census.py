@@ -569,22 +569,25 @@ def vn_experiment(ks: Sequence[int], samples: int, seed: int = 0) -> StatsReport
     as d is odd), so the per-row cycle mean over those pairs is reported
     separately from the unrestricted-uniform simulation mean that tracks H_k.
     Before any is built, the largest graph and the run's samples * 24k
-    matching entries summed over k must each fit GRAPH_ENTRIES_MAX, every k
-    must be >= 1 and the largest within HARMONIC_MAX_K, so no row refuses
-    after earlier rows were built.  k * samples then stays below
-    CYCLE_SAMPLES_MAX too, since it is at most the entries sum over 24.  A
-    range of ks is read by its ends and length, not listed.
+    matching entries summed over k must each fit GRAPH_ENTRIES_MAX, ks must
+    hold at least one k, every k must be >= 1 and the largest within
+    HARMONIC_MAX_K, so no row refuses after earlier rows were built.
+    k * samples then stays below CYCLE_SAMPLES_MAX too, since it is at most
+    the entries sum over 24.  A range of ks is read by its ends and length,
+    not listed.
     """
     if samples < 1:
         raise RangeError(f"samples must be >= 1, got {samples}")
+    if not ks:
+        raise RangeError(f"ks must hold at least one k, got {ks!r}")
     d = 3
     if isinstance(ks, range):
         # read arithmetically: stats-vn passes range(1, kmax + 1) for any kmax
-        ends = (ks[0], ks[-1]) if ks else ()
+        ends = (ks[0], ks[-1])
         total = len(ks) * sum(ends) // 2
     else:
         ends, total = ks, sum(ks)
-    smallest, largest = min(ends, default=1), max(ends, default=1)
+    smallest, largest = min(ends), max(ends)
     _check_family(d, largest)
     _check_budget(samples * (d + 1) * 2 * d * total, GRAPH_ENTRIES_MAX,
                   "samples * sum over k of (d+1)*n/2 = {count} matching entries, "

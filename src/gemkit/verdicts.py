@@ -29,9 +29,7 @@ record.
 
 from __future__ import annotations
 
-import functools
 import itertools
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -317,7 +315,7 @@ def _checked_masks(
     masks = _colour_masks(G, I)
     if len(masks) != size:
         raise InvalidColourSet(f"need |I|={size}, got {len(masks)}")
-    full = functools.reduce(operator.or_, masks)
+    full = sum(masks)
     return _colours_of(full), masks, _partition(G, full)
 
 

@@ -13,8 +13,10 @@ from gemkit import (
     BadParams,
     BudgetExceeded,
     CLASSES,
+    CensusReport,
     ExtensionBoundReport,
     GemkitError,
+    InvariantViolated,
     RangeError,
     all_perfect_matchings,
     census,
@@ -158,6 +160,12 @@ def test_census_d3_n4_frozen_counts():
     report = enumerate_census(3, 4)
     assert report.counts == CANONICAL_D3_N4
     assert report.labelled_counts == LABELLED_D3_N4
+
+
+def test_labelled_counts_refuse_orbit_weights_that_sum_to_a_fraction():
+    # one orbit of 3 components weighs 1/8 of C(4, 2) = 6 labelled graphs
+    with pytest.raises(InvariantViolated, match="orbit weights of all sum to 3/4"):
+        CensusReport(3, 4, {"all": {3: 1}}).labelled_counts
 
 
 def test_labelled_oracle_agrees_at_n4():
@@ -841,3 +849,10 @@ def test_vn_experiment_refuses_before_the_first_row(ks, k):
 def test_vn_experiment_rejects_fewer_than_one_sample(samples):
     with pytest.raises(RangeError):
         vn_experiment([1], samples=samples)
+
+
+@pytest.mark.parametrize("ks", [[], (), range(1, 1), range(1, 0)])
+def test_vn_experiment_rejects_an_empty_ks(ks):
+    # stats-vn --kmax 0 and --kmax -1 pass range(1, 1) and range(1, 0)
+    with pytest.raises(RangeError, match="ks must hold at least one k"):
+        vn_experiment(ks, samples=1)

@@ -561,6 +561,15 @@ def test_stats_vn_rejects_fewer_than_one_sample(samples, capsys):
     assert "samples must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kmax", ["0", "-1"])
+def test_stats_vn_rejects_a_kmax_below_one(kmax, capsys):
+    # no row and no header: the run is refused before anything is printed
+    assert run(["stats-vn", "--kmax", kmax, "--samples", "1"]) == 64
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "ks must hold at least one k" in err
+
+
 def test_export_dot(torus_file, capsys):
     assert run(["export-dot", torus_file]) == 0
     out = capsys.readouterr().out

@@ -81,6 +81,11 @@ def test_rejects_wrong_matching_count():
         ColourfulGraph(2, [(2,), (2,)])
 
 
+def test_rejects_matchings_without_a_white_vertex():
+    with pytest.raises(LengthMismatch, match="at least one white vertex"):
+        ColourfulGraph(1, [(), ()])
+
+
 def test_rejects_non_bijections():
     with pytest.raises(NotABijection):
         ColourfulGraph(1, [(3, 3), (3, 4)])
@@ -240,6 +245,11 @@ def test_f_vector_torus():
     # 3 vertices, 9 edges, 6 triangles; the complex vertices are the
     # bicoloured cycles, not the graph vertices
     assert f_vector(torus_graph(), (1, 2, 3)) == (3, 9, 6)
+
+
+def test_f_vector_needs_a_colour():
+    with pytest.raises(InvalidColourSet, match="at least one colour"):
+        f_vector(torus_graph(), ())
 
 
 def test_f_vector_two_tetrahedra_full():

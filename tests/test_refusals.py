@@ -1,5 +1,6 @@
-"""Every public call on a size argument returns or refuses within a second."""
+"""Every public call and subcommand on a size argument returns or refuses within a second."""
 
+import re
 import signal
 
 import pytest
@@ -21,6 +22,7 @@ from gemkit import (
     verify_lemma_bounds,
     vn_experiment,
 )
+from gemkit.cli import run
 from conftest import two_tetrahedra_graph
 
 SIZES = (-1, 0, 10**9, 2**40)
@@ -78,3 +80,66 @@ def test_a_million_colours_are_refused_within_a_second():
     # each colour is compared with d+1 before it becomes a bit, so no
     # million-bit mask is built on the way to the refusal
     _within_a_second(lambda I: kappa_r(two_tetrahedra_graph(), I, 2), range(1, 10**6))
+
+
+# ------------------------------------------------ the subcommands
+
+# each subcommand's integer options, on a command line whose other options
+# are small and valid; a case appends one option with its value, which
+# argparse reads in place of an earlier one
+COMMAND_LINES = {
+    "random": ("random --d 3 --n 4", ("--d", "--n", "--seed")),
+    "gen": ("gen --d 3 --k 1 --random-perms", ("--d", "--k", "--seed", "--planar-extend")),
+    "census": ("census --d 3 --n 4", ("--d", "--n", "--budget")),
+    "verify-lemmas": ("verify-lemmas --d 3 --n 4", ("--d", "--n", "--budget")),
+    "verify-lemmas --check-5": ("verify-lemmas --d 4 --n 4 --check-5", ("--d", "--n", "--budget")),
+    "stats-vn": ("stats-vn --kmax 1 --samples 1", ("--kmax", "--samples", "--seed")),
+}
+
+# every option that takes no integer; any other option a subcommand's
+# --help lists must be in COMMAND_LINES
+NOT_INTEGERS = {"--help", "--colours", "--certificate", "--sigma", "--tau", "--random-perms",
+                "--emit-graphs", "--check-5", "--cgf2"}
+
+# the two-tetrahedra graph's matching lines, under a header that sets d or n
+CGF_BODY = "3 4\n3 4\n3 4\n4 3\n"
+
+
+def _ends_cleanly(argv, capsys):
+    """run(argv) in process ends within a second, with exit 0, 64 or 65 and no traceback."""
+    codes = []
+    _within_a_second(lambda args: codes.append(run(args)), argv)
+    assert codes in ([0], [64], [65])
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+@pytest.mark.parametrize("value", SIZES)
+@pytest.mark.parametrize("line, option", [
+    (line, option) for line, (_, options) in COMMAND_LINES.items() for option in options])
+def test_integer_options_end_or_refuse_within_a_second(line, option, value, capsys):
+    _ends_cleanly(COMMAND_LINES[line][0].split() + [option, str(value)], capsys)
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+@pytest.mark.parametrize("value", SIZES)
+@pytest.mark.parametrize("header", ["cgf {} 4", "cgf 3 {}"])
+@pytest.mark.parametrize("command", ["validate", "kappa", "check-manifold"])
+def test_cgf_header_sizes_end_or_refuse_within_a_second(command, header, value, tmp_path, capsys):
+    path = tmp_path / "g.cgf"
+    path.write_text(header.format(value) + "\n" + CGF_BODY)
+    _ends_cleanly([command, str(path)], capsys)
+
+
+def test_every_integer_option_has_size_cases(capsys):
+    # a subcommand's options as its --help lists them: a new integer option
+    # fails here until COMMAND_LINES gives it cases
+    assert run(["--help"]) == 0
+    choices = re.search(r"\{([\w,-]+)\}", capsys.readouterr().out).group(1).split(",")
+    covered = {}
+    for line, (_, options) in COMMAND_LINES.items():
+        covered.setdefault(line.split()[0], set()).update(options)
+    for command in choices:
+        assert run([command, "--help"]) == 0
+        listed = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
+        assert listed - NOT_INTEGERS == covered.get(command, set()), command

@@ -352,20 +352,18 @@ def test_the_identity_loop_reads_each_colour_subset_once(monkeypatch):
     d = 10
     G = ColourfulGraph(d, [(3, 4)] * ((d + 1) // 2) + [(4, 3)] * ((d + 2) // 2))
     calls = []
-    reads = {name: getattr(graph_mod, name) for name in ("residues", "_partition")}
+    read = graph_mod._partition
 
-    def counting(read):
-        def counted(H, colours):
-            if H is G:
-                calls.append(colours)
-            return read(H, colours)
-        return counted
+    def counted(H, bits):
+        if H is G:
+            calls.append(bits)
+        return read(H, bits)
 
-    # every partition read, memo hits included: library code reads through
-    # residues, and order_complex by mask through _partition
-    for module, name in [(graph_mod, "residues"), (verdicts_mod, "residues"),
-                         (homology_mod, "_partition")]:
-        monkeypatch.setattr(module, name, counting(reads[name]))
+    # every partition read, memo hits included, passes through _partition
+    # once: residues and kappa_table call it in graph, the lemma witnesses
+    # in verdicts and order_complex in homology
+    for module in (graph_mod, verdicts_mod, homology_mod):
+        monkeypatch.setattr(module, "_partition", counted)
     v = is_manifold(G)
     monkeypatch.undo()
     assert len(calls) < 1 << (d + 2)
